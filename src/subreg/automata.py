@@ -1,5 +1,12 @@
 """Finite automata: construction, boolean algebra, minimization, queries.
 
+A regex becomes its position automaton (``compile_regex``), an NFA with
+one state per letter occurrence plus a start state.  No automaton here
+has empty moves: the rational operations on NFAs (``concat_nfa``,
+``union_nfa``, ``star_nfa``, ``reverse_nfa``) copy initial moves instead.
+``determinize`` is the one subset construction and ``reachable`` the one
+forward reachability helper.
+
 DFAs are always complete (an explicit sink is added where needed) and,
 after ``minimize``, canonically numbered by breadth-first order over the
 sorted alphabet, so equal languages yield structurally identical values.
@@ -21,7 +28,6 @@ from .regex import (
     Sym,
     Union,
     cat,
-    letters_of,
     star,
     union,
 )
@@ -50,90 +56,82 @@ def _check_same_alphabet(a, b):
 
 @dataclass
 class Nfa:
-    """Nondeterministic automaton with epsilon moves.
+    """Nondeterministic automaton without empty moves.
 
-    States are dense integers 0..n_states-1.
+    States are dense integers 0..n_states-1; several states may be
+    initial.  The empty word is accepted exactly when an initial state is
+    final.
     """
 
     n_states: int
     alphabet: tuple[str, ...]
     moves: dict[tuple[int, str], set[int]] = field(default_factory=dict)
-    eps: dict[int, set[int]] = field(default_factory=dict)
     initials: frozenset[int] = frozenset()
     finals: frozenset[int] = frozenset()
 
     def add(self, src: int, letter: str, dst: int) -> None:
         self.moves.setdefault((src, letter), set()).add(dst)
 
-    def add_eps(self, src: int, dst: int) -> None:
-        self.eps.setdefault(src, set()).add(dst)
-
-    def eps_closure(self, states) -> frozenset[int]:
-        out = set(states)
-        stack = list(states)
-        while stack:
-            s = stack.pop()
-            for t in self.eps.get(s, ()):
-                if t not in out:
-                    out.add(t)
-                    stack.append(t)
-        return frozenset(out)
-
-    def accepts(self, word: str) -> bool:
-        current = self.eps_closure(self.initials)
-        for a in word:
-            if a not in self.alphabet:
-                return False
-            nxt = set()
-            for s in current:
-                nxt |= self.moves.get((s, a), set())
-            current = self.eps_closure(nxt)
-        return bool(current & self.finals)
-
 
 def compile_regex(r: Regex, alphabet: tuple[str, ...]) -> Nfa:
-    """Thompson construction; L(result) follows the inductive semantics."""
-    missing = letters_of(r) - set(alphabet)
+    """Position automaton (Glushkov; Berry & Sethi 1986) of a regex.
+
+    State 0 is the start and state p >= 1 is the p-th letter occurrence,
+    counted from the left; every move into p reads p's letter.  Nullable,
+    first, last and follow sets are computed bottom-up over an explicit
+    stack, so tree depth is not limited by the interpreter's recursion
+    limit.
+    """
+    letters = [None]  # letters[p] is the letter of position p
+    follow: list[set[int]] = [set()]
+    missing = set()
+    results = []  # (nullable, first, last) per finished subtree
+    stack = [(r, False)]
+    while stack:
+        node, done = stack.pop()
+        if isinstance(node, Sym):
+            if node.letter not in alphabet:
+                missing.add(node.letter)
+            p = len(letters)
+            letters.append(node.letter)
+            follow.append(set())
+            results.append((False, {p}, {p}))
+        elif isinstance(node, Empty):
+            results.append((False, set(), set()))
+        elif not done:
+            stack.append((node, True))
+            if isinstance(node, Star):
+                stack.append((node.inner, False))
+            elif isinstance(node, (Cat, Union)):
+                # right first, so the left subtree numbers its letters first
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            else:
+                raise TypeError(f"not a regex node: {node!r}")
+        elif isinstance(node, Star):
+            _, first, last = results.pop()
+            for p in last:
+                follow[p] |= first
+            results.append((True, first, last))
+        else:
+            nr, fr, lr = results.pop()
+            nl, fl, ll = results.pop()
+            if isinstance(node, Union):
+                results.append((nl or nr, fl | fr, ll | lr))
+            else:
+                for p in ll:
+                    follow[p] |= fr
+                results.append((nl and nr, fl | fr if nl else fl,
+                                ll | lr if nr else lr))
     if missing:
         raise AlphabetMismatchError(f"letters {sorted(missing)} not in alphabet")
-    nfa = Nfa(0, alphabet)
-
-    def fresh():
-        nfa.n_states += 1
-        return nfa.n_states - 1
-
-    def build(node) -> tuple[int, int]:
-        s, t = fresh(), fresh()
-        if isinstance(node, Empty):
-            pass
-        elif isinstance(node, Sym):
-            nfa.add(s, node.letter, t)
-        elif isinstance(node, Cat):
-            ls, lt = build(node.left)
-            rs, rt = build(node.right)
-            nfa.add_eps(s, ls)
-            nfa.add_eps(lt, rs)
-            nfa.add_eps(rt, t)
-        elif isinstance(node, Union):
-            ls, lt = build(node.left)
-            rs, rt = build(node.right)
-            nfa.add_eps(s, ls)
-            nfa.add_eps(s, rs)
-            nfa.add_eps(lt, t)
-            nfa.add_eps(rt, t)
-        elif isinstance(node, Star):
-            is_, it = build(node.inner)
-            nfa.add_eps(s, is_)
-            nfa.add_eps(s, t)
-            nfa.add_eps(it, is_)
-            nfa.add_eps(it, t)
-        else:
-            raise TypeError(f"not a regex node: {node!r}")
-        return s, t
-
-    s, t = build(r)
-    nfa.initials = frozenset({s})
-    nfa.finals = frozenset({t})
+    nullable, first, last = results.pop()
+    nfa = Nfa(len(letters), alphabet)
+    for p, targets in enumerate([first] + follow[1:]):
+        for q in targets:
+            nfa.add(p, letters[q], q)
+    nfa.initials = frozenset({0})
+    nfa.finals = frozenset(last | {0} if nullable else last)
     return nfa
 
 
@@ -186,39 +184,33 @@ def to_nfa(dfa: Dfa) -> Nfa:
     return nfa
 
 
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction; the result is complete (the empty subset acts
-    as the sink)."""
-    start = nfa.eps_closure(nfa.initials)
+def determinize(nfa: Nfa, cap: int = 10 ** 6) -> Dfa:
+    """Subset construction over the reachable subsets; the result is
+    complete (the empty subset acts as the sink).  Raises
+    ResourceCapExceeded when it would exceed `cap` states."""
+    start = frozenset(nfa.initials)
     ids: dict[frozenset[int], int] = {start: 0}
-    rows: list[list[int]] = []
-    finals = set()
-    queue = deque([start])
     order = [start]
-    while queue:
-        cur = queue.popleft()
+    rows: list[tuple[int, ...]] = []
+    for cur in order:  # grows while it is read: breadth-first numbering
         row = []
         for a in nfa.alphabet:
-            nxt = set()
-            for s in cur:
-                nxt |= nfa.moves.get((s, a), set())
-            nxt = nfa.eps_closure(nxt)
+            nxt = frozenset().union(*[nfa.moves.get((s, a), ()) for s in cur])
             if nxt not in ids:
+                if len(ids) >= cap:
+                    raise ResourceCapExceeded(f"subset construction exceeds cap {cap}")
                 ids[nxt] = len(ids)
                 order.append(nxt)
-                queue.append(nxt)
             row.append(ids[nxt])
-        rows.append(row)
-    for subset, i in ids.items():
-        if subset & nfa.finals:
-            finals.add(i)
-    return Dfa(nfa.alphabet, tuple(tuple(r) for r in rows), 0, frozenset(finals))
+        rows.append(tuple(row))
+    finals = frozenset(i for i, subset in enumerate(order) if subset & nfa.finals)
+    return Dfa(nfa.alphabet, tuple(rows), 0, finals)
 
 
 def minimize(dfa: Dfa) -> Dfa:
     """Partition-refinement minimization plus canonical BFS renumbering."""
     # restrict to the reachable part
-    reach = _reachable(dfa)
+    reach = reachable(dfa)
     states = sorted(reach)
     remap = {s: i for i, s in enumerate(states)}
     trans = [[remap[dfa.transitions[s][i]] for i in range(len(dfa.alphabet))]
@@ -277,7 +269,8 @@ def dfa_of(r: Regex, alphabet: tuple[str, ...]) -> Dfa:
     return determinize_minimize(compile_regex(r, alphabet))
 
 
-def _reachable(dfa: Dfa) -> set[int]:
+def reachable(dfa: Dfa) -> set[int]:
+    """States reachable from the start state."""
     seen = {dfa.start}
     queue = deque([dfa.start])
     while queue:
@@ -331,7 +324,7 @@ class CardinalityClass(enum.Enum):
 
 def useful_states(dfa: Dfa) -> set[int]:
     """States both reachable and able to reach an accepting state."""
-    reach = _reachable(dfa)
+    reach = reachable(dfa)
     # reverse reachability from finals
     preds: dict[int, set[int]] = {}
     for s in range(dfa.n_states):
@@ -417,38 +410,62 @@ def difference(a: Dfa, b: Dfa) -> Dfa:
     return _product(a, b, lambda x, y: x and not y)
 
 
-def concat_nfa(a: Nfa | Dfa, b: Nfa | Dfa) -> Nfa:
+def _shifted(a: Nfa | Dfa, by: int) -> Nfa:
+    """A fresh NFA copy of `a` with every state number raised by `by`;
+    states below `by` are left free for the caller."""
     a = to_nfa(a) if isinstance(a, Dfa) else a
-    b = to_nfa(b) if isinstance(b, Dfa) else b
+    out = Nfa(a.n_states + by, a.alphabet)
+    for (s, letter), ts in a.moves.items():
+        out.moves[(s + by, letter)] = {t + by for t in ts}
+    out.initials = frozenset(s + by for s in a.initials)
+    out.finals = frozenset(s + by for s in a.finals)
+    return out
+
+
+def _side_by_side(a: Nfa | Dfa, b: Nfa | Dfa) -> tuple[Nfa, Nfa, Nfa]:
+    """Copies of a and b on disjoint states, and one NFA holding the
+    moves of both (its initials and finals are left to the caller)."""
+    a = _shifted(a, 0)
+    b = _shifted(b, a.n_states)
     _check_same_alphabet(a, b)
-    shift = a.n_states
-    out = Nfa(a.n_states + b.n_states, a.alphabet)
-    out.moves = {k: set(v) for k, v in a.moves.items()}
-    out.eps = {k: set(v) for k, v in a.eps.items()}
-    for (s, l), ts in b.moves.items():
-        out.moves[(s + shift, l)] = {t + shift for t in ts}
-    for s, ts in b.eps.items():
-        out.eps[s + shift] = {t + shift for t in ts}
-    for f in a.finals:
-        for i in b.initials:
-            out.add_eps(f, i + shift)
+    return Nfa(b.n_states, a.alphabet, {**a.moves, **b.moves}), a, b
+
+
+def _restart(nfa: Nfa, sources, initials) -> None:
+    """Give every state in `sources` the moves of the states in
+    `initials`, so a word may start over there without an empty move."""
+    first = {}
+    for i in initials:
+        for letter in nfa.alphabet:
+            first.setdefault(letter, set()).update(nfa.moves.get((i, letter), ()))
+    for s in sources:
+        for letter, ts in first.items():
+            if ts:
+                nfa.moves.setdefault((s, letter), set()).update(ts)
+
+
+def concat_nfa(a: Nfa | Dfa, b: Nfa | Dfa) -> Nfa:
+    out, a, b = _side_by_side(a, b)
+    _restart(out, a.finals, b.initials)
     out.initials = a.initials
-    out.finals = frozenset(t + shift for t in b.finals)
+    out.finals = b.finals | (a.finals if b.initials & b.finals else frozenset())
+    return out
+
+
+def union_nfa(a: Nfa | Dfa, b: Nfa | Dfa) -> Nfa:
+    out, a, b = _side_by_side(a, b)
+    out.initials = a.initials | b.initials
+    out.finals = a.finals | b.finals
     return out
 
 
 def star_nfa(a: Nfa | Dfa) -> Nfa:
-    a = to_nfa(a) if isinstance(a, Dfa) else a
-    out = Nfa(a.n_states + 1, a.alphabet)
-    out.moves = {k: set(v) for k, v in a.moves.items()}
-    out.eps = {k: set(v) for k, v in a.eps.items()}
-    hub = a.n_states
-    for i in a.initials:
-        out.add_eps(hub, i)
-    for f in a.finals:
-        out.add_eps(f, hub)
+    out = _shifted(a, 0)
+    hub = out.n_states
+    out.n_states += 1
+    _restart(out, out.finals | {hub}, out.initials)
     out.initials = frozenset({hub})
-    out.finals = frozenset({hub})
+    out.finals = out.finals | {hub}
     return out
 
 
@@ -458,9 +475,6 @@ def reverse_nfa(a: Nfa | Dfa) -> Nfa:
     for (s, l), ts in a.moves.items():
         for t in ts:
             out.add(t, l, s)
-    for s, ts in a.eps.items():
-        for t in ts:
-            out.add_eps(t, s)
     out.initials = a.finals
     out.finals = a.initials
     return out
@@ -535,19 +549,6 @@ def residual(dfa: Dfa, state: int) -> Dfa:
 
 def left_word_quotient(dfa: Dfa, word: str) -> Dfa:
     return residual(dfa, dfa.run(word))
-
-
-def left_stabilizer(dfa: Dfa) -> Dfa:
-    """The regular language {g : g . L <= L}, as a minimal DFA.
-
-    A word g stabilizes L exactly when L is contained in the residual of
-    the state it reaches, so the stabilizer is the given automaton with
-    those states accepting.
-    """
-    good = frozenset(
-        p for p in range(dfa.n_states) if subset(dfa, residual(dfa, p))
-    )
-    return minimize(Dfa(dfa.alphabet, dfa.transitions, dfa.start, good))
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +673,6 @@ def to_dot(obj: Dfa | Nfa, name: str = "automaton") -> str:
         for (s, l), ts in obj.moves.items():
             for t in ts:
                 grouped.setdefault((s, t), []).append(l)
-        for s, ts in obj.eps.items():
-            for t in ts:
-                grouped.setdefault((s, t), []).append("ε")
         for (s, t), labels in sorted(grouped.items()):
             lines.append(f'  q{s} -> q{t} [label="{",".join(sorted(labels))}"];')
     lines.append("}")

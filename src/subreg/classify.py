@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 from . import automata, regex as rx
 from .automata import (
     CardinalityClass,
     Dfa,
+    ResourceCapExceeded,
     cardinality_class,
     complement,
     concat_nfa,
@@ -29,12 +30,14 @@ from .automata import (
     intersect,
     left_word_quotient,
     minimize,
+    reachable,
     residual,
     reverse_nfa,
     star_nfa,
     subset,
     to_nfa,
     transition_monoid,
+    union_nfa,
     universe_dfa,
 )
 from .language import LanguageHandle
@@ -105,11 +108,6 @@ class ClassifierConfig:
     def_iteration_cap: int = 4096
     def_word_cap: int = 1 << 16
     monoid_cap: int = 10 ** 6
-
-    def replace(self, **kw) -> "ClassifierConfig":
-        vals = {f.name: getattr(self, f.name) for f in fields(self)}
-        vals.update(kw)
-        return ClassifierConfig(**vals)
 
 
 DEFAULT_CONFIG = ClassifierConfig()
@@ -198,7 +196,8 @@ def _classify_def(l, config):
         return _no(Family.DEF)
     cert = {"window": k}
     if len(l.alphabet) ** k <= config.def_word_cap:
-        a_part = enumerate_words(dfa, k - 1) if k > 0 else []
+        # the guard bounds the words listed here, so no length cap applies
+        a_part = enumerate_words(dfa, k - 1, cap=k - 1) if k > 0 else []
         b_part = []
         n = dfa.n_states
         idx = {a: i for i, a in enumerate(dfa.alphabet)}
@@ -582,7 +581,7 @@ def decide_2com_bounded(l: LanguageHandle, bound: int,
             for e in e_set:
                 piece = concat_nfa(
                     automata.compile_regex(rx.word_regex(e), l.alphabet), mid)
-                pieces = piece if pieces is None else _union_nfa(pieces, piece)
+                pieces = piece if pieces is None else union_nfa(pieces, piece)
             recombined = determinize(pieces)
             if not equivalent(recombined, dfa):
                 continue
@@ -596,20 +595,6 @@ def decide_2com_bounded(l: LanguageHandle, bound: int,
                         "H": rx.render(dfa_to_regex(mid)),
                     })
     return _unknown(Family.TWOCOM, f"no certificate within bound {bound}")
-
-
-def _union_nfa(a, b):
-    out = automata.Nfa(a.n_states + b.n_states, a.alphabet)
-    out.moves = {k: set(v) for k, v in a.moves.items()}
-    out.eps = {k: set(v) for k, v in a.eps.items()}
-    shift = a.n_states
-    for (s, letter), ts in b.moves.items():
-        out.moves[(s + shift, letter)] = {t + shift for t in ts}
-    for s, ts in b.eps.items():
-        out.eps[s + shift] = {t + shift for t in ts}
-    out.initials = a.initials | frozenset(i + shift for i in b.initials)
-    out.finals = a.finals | frozenset(f + shift for f in b.finals)
-    return out
 
 
 def _classify_twocom(l, config):
@@ -629,44 +614,6 @@ def _classify_twocom(l, config):
     return decide_2com_bounded(l, config.twocom_bound, config)
 
 
-def _reach_from(dfa: Dfa, state: int) -> set[int]:
-    seen = {state}
-    stack = [state]
-    while stack:
-        s = stack.pop()
-        for t in dfa.transitions[s]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
-def _universal_suffix_dfa(dfa: Dfa, states, cap: int):
-    """DFA of {h : delta(q, h) accepting for every q in `states`}, or None
-    if the subset construction exceeds `cap` states."""
-    start = frozenset(states)
-    ids = {start: 0}
-    rows = []
-    finals = set()
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        row = []
-        for i in range(len(dfa.alphabet)):
-            nxt = frozenset(dfa.transitions[s][i] for s in cur)
-            if nxt not in ids:
-                if len(ids) >= cap:
-                    return None
-                ids[nxt] = len(ids)
-                queue.append(nxt)
-            row.append(ids[nxt])
-        rows.append(row)
-    for sub, i in ids.items():
-        if sub <= dfa.finals:
-            finals.add(i)
-    return Dfa(dfa.alphabet, tuple(tuple(r) for r in rows), 0, frozenset(finals))
-
-
 def _classify_sydef(l, config):
     dfa = l.dfa
     card = cardinality_class(dfa)
@@ -675,11 +622,14 @@ def _classify_sydef(l, config):
     if _classify_ps(l, config).outcome is Outcome.NO:
         return _no(Family.SYDEF, "not power-separating")
     universe = universe_dfa(l.alphabet)
+    rejects = to_nfa(complement(dfa))
     for e in automata.all_words(l.alphabet, config.sydef_bound):
-        p = dfa.run(e)
-        span = _reach_from(dfa, p)
-        h_dfa = _universal_suffix_dfa(dfa, span, config.sydef_state_cap)
-        if h_dfa is None:
+        # H = {h : every state reachable from delta(e) accepts h}, the
+        # complement of what some such state rejects
+        rejects.initials = frozenset(reachable(residual(dfa, dfa.run(e))))
+        try:
+            h_dfa = complement(determinize(rejects, config.sydef_state_cap))
+        except ResourceCapExceeded:
             continue
         lhs = determinize(concat_nfa(
             concat_nfa(automata.compile_regex(rx.word_regex(e), l.alphabet),
@@ -727,7 +677,12 @@ _DECIDERS = {
 
 def classify(l: LanguageHandle, family: Family,
              config: ClassifierConfig = DEFAULT_CONFIG) -> Verdict:
-    return _DECIDERS[family](l, config)
+    """The family verdict; a search that exceeds a resource cap answers
+    Unknown with the cap as the reason."""
+    try:
+        return _DECIDERS[family](l, config)
+    except ResourceCapExceeded as exc:
+        return _unknown(family, str(exc))
 
 
 # Proper inclusions of Figure 1 among the classifiable families; a Yes on

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -48,15 +49,18 @@ def _language(arg: str, alphabet: str) -> LanguageHandle:
         raise InputError(str(exc)) from exc
 
 
-def _config(args):
-    cfg = DEFAULT_CONFIG
+def _config(args, base=DEFAULT_CONFIG):
+    """`base` with the --bound and --cap-monoid overrides applied."""
     kw = {}
-    if getattr(args, "cap_monoid", None):
-        kw["monoid_cap"] = args.cap_monoid
-    if getattr(args, "bound", None):
-        kw["twocom_bound"] = args.bound
-        kw["sydef_bound"] = args.bound
-    return cfg.replace(**kw) if kw else cfg
+    for flag, value, names in (
+            ("--bound", args.bound, ("twocom_bound", "sydef_bound")),
+            ("--cap-monoid", args.cap_monoid, ("monoid_cap",))):
+        if value is None:
+            continue
+        if value < 1:
+            raise InputError(f"{flag} must be at least 1, got {value}")
+        kw.update(dict.fromkeys(names, value))
+    return dataclasses.replace(base, **kw)
 
 
 def cmd_classify(args) -> int:
@@ -197,9 +201,10 @@ def cmd_grammar(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     if args.hcommand == "verify":
-        report = hierarchy.verify_witnesses()
+        report = hierarchy.verify_witnesses(config=_config(args))
         edges = hierarchy.edge_consistency_check(
-            corpus=hierarchy.random_corpus(args.corpus_size))
+            corpus=hierarchy.random_corpus(args.corpus_size),
+            config=_config(args, hierarchy.CORPUS_CONFIG))
         combined = {"edge_consistency": edges, "witnesses": report}
         ok = report["n_failed"] == 0 and edges["n_violations"] == 0
         if args.format == "json":
@@ -243,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=int, default=None,
                        help="search bound for the bounded deciders")
         p.add_argument("--cap-monoid", type=int, default=None)
-        p.add_argument("--cap-enum", type=int, default=None)
 
     p = sub.add_parser("classify", help="classify a regex into every family")
     p.add_argument("regex", help="regex literal or path to a regex file")
@@ -306,7 +310,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (rx.RegexError, automata.AlphabetMismatchError) as exc:
+    except (rx.RegexError, rx.AlphabetError,
+            automata.AlphabetMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

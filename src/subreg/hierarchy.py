@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import classify as cls, grammar as gr, regex as rx
 from .classify import ClassifierConfig, DEFAULT_CONFIG, Family, Outcome
@@ -419,8 +419,8 @@ def random_corpus(count: int = 1000, seed: int = 20240811,
     return out
 
 
-CORPUS_CONFIG = DEFAULT_CONFIG.replace(ord_search_budget=8000,
-                                       twocom_subset_cap=400)
+CORPUS_CONFIG = replace(DEFAULT_CONFIG, ord_search_budget=8000,
+                        twocom_subset_cap=400)
 
 
 def edge_consistency_check(graph: HierarchyGraph = FIG1, corpus=None,
@@ -464,15 +464,4 @@ def edge_consistency_check(graph: HierarchyGraph = FIG1, corpus=None,
         "n_violations": len(violations),
         "properness": properness,
         "violations": violations,
-    }
-
-
-def hierarchy_report(config: ClassifierConfig = DEFAULT_CONFIG,
-                     corpus_size: int = 1000) -> dict:
-    witnesses = verify_witnesses(config=config)
-    edges = edge_consistency_check(corpus=random_corpus(corpus_size))
-    return {
-        "edge_consistency": edges,
-        "ok": witnesses["n_failed"] == 0 and edges["n_violations"] == 0,
-        "witnesses": witnesses,
     }

@@ -83,6 +83,22 @@ class TestTransforms:
         st_ = au.determinize_minimize(au.star_nfa(dfa("ab")))
         assert au.equivalent(st_, dfa("(ab)*"))
 
+    def test_determinize_cap(self):
+        nfa = au.compile_regex(rx.parse_regex("(a|b)*a(a|b)(a|b)", AB), AB)
+        assert au.determinize(nfa).n_states == 9
+        with pytest.raises(au.ResourceCapExceeded):
+            au.determinize(nfa, cap=8)
+
+    def test_position_automaton_of_deep_tree(self):
+        # deeper than the interpreter's recursion limit
+        r = rx.Sym("a")
+        for _ in range(5000):
+            r = rx.Union(rx.Cat(r, rx.Sym("b")), rx.EMPTY)
+        nfa = au.compile_regex(r, AB)
+        assert nfa.n_states == 5002 and nfa.initials == {0}
+        d = au.determinize(nfa)
+        assert d.accepts("a" + "b" * 5000) and not d.accepts("ab")
+
     def test_residual_and_quotient(self):
         d = dfa("a*b")
         assert au.equivalent(au.left_word_quotient(d, "a"), dfa("a*b"))
@@ -166,3 +182,35 @@ def test_dfa_agrees_with_word_oracle(r):
     oracle = rx.words_up_to(r, 5)
     for w in all_words(AB, 5):
         assert d.accepts(w) == (w in oracle)
+
+
+def operands(r):
+    """Automata for L(r) in the shapes the deciders pass to the rational
+    operations: a DFA, a position automaton, and an NFA with several
+    initial states."""
+    return st.sampled_from([
+        lambda: au.dfa_of(r, AB),
+        lambda: au.compile_regex(r, AB),
+        lambda: au.reverse_nfa(au.dfa_of(rx.reverse_regex(r), AB)),
+    ]).map(lambda build: build())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), regexes(depth=2), regexes(depth=2))
+def test_rational_operations_match_regexes(data, r, s):
+    a = data.draw(operands(r))
+    b = data.draw(operands(s))
+
+    def same(nfa, regex):
+        assert au.determinize_minimize(nfa) == au.dfa_of(regex, AB), (
+            rx.render(r), rx.render(s))
+
+    same(au.concat_nfa(a, b), rx.Cat(r, s))
+    same(au.union_nfa(a, b), rx.Union(r, s))
+    same(au.star_nfa(a), rx.Star(r))
+    same(au.reverse_nfa(a), rx.reverse_regex(r))
+    # chained, as SYDEF, 2COM and certificate checks build them
+    same(au.concat_nfa(au.concat_nfa(a, au.star_nfa(b)), a),
+         rx.Cat(rx.Cat(r, rx.Star(s)), r))
+    same(au.union_nfa(au.concat_nfa(a, b), au.star_nfa(au.union_nfa(b, a))),
+         rx.Union(rx.Cat(r, s), rx.Star(rx.Union(s, r))))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -77,6 +78,13 @@ class TestCertificates:
         assert set(v.certificate) >= {"A", "B"}
         assert cl.verify_certificate(lang("(a|b)*b|1|a"), Family.DEF,
                                      v.certificate)
+
+    def test_def_certificate_with_long_window(self):
+        h = lang("a" * 40 + "a*", "a")
+        v = cl.classify(h, Family.DEF)
+        assert v.outcome is Outcome.YES
+        assert v.certificate == {"window": 40, "A": [], "B": ["a" * 40]}
+        assert cl.verify_certificate(h, Family.DEF, v.certificate)
 
     def test_sydef_certificate(self):
         h = lang("(a|b)*b")
@@ -191,6 +199,19 @@ class TestClassifyAll:
             assert v.outcome is not Outcome.NO
 
     def test_state_cap_gives_unknown(self):
-        cfg = DEFAULT_CONFIG.replace(ord_state_cap=1)
+        cfg = dataclasses.replace(DEFAULT_CONFIG, ord_state_cap=1)
         v = cl.classify(lang("(ab)*"), Family.ORD, cfg)
         assert v.outcome is Outcome.UNKNOWN
+
+    def test_monoid_cap_gives_unknown(self):
+        cfg = dataclasses.replace(DEFAULT_CONFIG, monoid_cap=2)
+        verdicts = cl.classify_all(lang("(a|b)*b"), cfg)
+        for family in (Family.NC, Family.SF, Family.PS, Family.ORD):
+            assert verdicts[family].outcome is Outcome.UNKNOWN
+            assert verdicts[family].reason == "transition monoid exceeds cap 2"
+
+    def test_sydef_state_cap_gives_unknown(self):
+        cfg = dataclasses.replace(DEFAULT_CONFIG, sydef_state_cap=1)
+        v = cl.classify(lang("(a|b)*b"), Family.SYDEF, cfg)
+        assert v.outcome is Outcome.UNKNOWN
+        assert v.reason == "no single-word E within bound 2"

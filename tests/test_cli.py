@@ -51,6 +51,26 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "abc", "--alphabet", "ab")
         assert code == 2
 
+    def test_bad_alphabet_is_input_error(self, capsys):
+        code, out, err = run(capsys, "classify", "a", "--alphabet", "a0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_monoid_cap_gives_unknown(self, capsys):
+        code, out, _ = run(capsys, "classify", "(a|b)*b", "--alphabet", "ab",
+                           "--cap-monoid", "2", "--format", "json")
+        assert code == 0
+        verdicts = {v["family"]: v for v in json.loads(out)["verdicts"]}
+        assert verdicts["NC"]["outcome"] == "unknown"
+        assert "cap 2" in verdicts["NC"]["reason"]
+
+    @pytest.mark.parametrize("flag", ["--bound", "--cap-monoid"])
+    def test_flag_below_one_is_input_error(self, capsys, flag):
+        code, out, err = run(capsys, "classify", "ab", "--alphabet", "ab",
+                             flag, "0")
+        assert code == 2 and out == ""
+        assert flag in err and err.count("\n") == 1
+
 
 class TestNf2com:
     def test_left_normal_form(self, capsys):
@@ -152,3 +172,14 @@ class TestHierarchy:
         assert code == 0
         assert "0 failed" in out
         assert "0 violations" in out
+
+    def test_verify_takes_the_config_flags(self, capsys):
+        # a one-element monoid cap leaves NC/PS/ORD claims unknown, so
+        # the registry check fails
+        code, out, _ = run(capsys, "hierarchy", "verify", "--corpus-size", "5",
+                           "--cap-monoid", "1")
+        assert code == 1
+        assert "ab_star NC=yes: expected yes, got unknown" in out
+        code, _, err = run(capsys, "hierarchy", "verify", "--corpus-size", "5",
+                           "--bound", "0")
+        assert code == 2 and "--bound" in err
