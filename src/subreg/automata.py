@@ -139,7 +139,7 @@ def compile_regex(r: Regex, alphabet: tuple[str, ...]) -> Nfa:
 # DFA
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dfa:
     """Complete deterministic automaton over dense integer states."""
 
@@ -555,7 +555,7 @@ def left_word_quotient(dfa: Dfa, word: str) -> Dfa:
 # Transition monoid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionMonoidElement:
     """A state map induced by some word, with a shortest representative."""
 

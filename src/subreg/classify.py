@@ -2,16 +2,16 @@
 
 Each decider evaluates a language relative to its declared alphabet and
 returns a three-valued verdict.  Families without a known complete
-decision procedure (SYDEF, 2COM, UF) may answer Unknown; their Yes
-answers always carry a certificate that re-verifies against the defining
-equation.
+decision procedure (SYDEF, 2COM, UF, and ORD beyond its bounded split
+search) may answer Unknown; their Yes answers always carry a certificate
+that re-verifies against the defining equation.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import automata, regex as rx
 from .automata import (
@@ -98,9 +98,11 @@ class Verdict:
 
 @dataclass
 class ClassifierConfig:
-    ord_state_cap: int = 10          # order search on the minimal DFA
-    ord_split_extra: int = 2         # extra states tried beyond minimal
-    ord_search_budget: int = 60000   # shared node budget for all order searches
+    ord_state_cap: int = 10          # no order search on larger minimal DFAs
+    ord_split_extra: int = 2         # most extra states in a split automaton
+    # branching decisions (a move's choice of copy, or the bit of a pair
+    # component) over the whole order search on one language
+    ord_search_budget: int = 60000
     twocom_bound: int = 2
     twocom_subset_cap: int = 4096
     sydef_bound: int = 2
@@ -226,148 +228,265 @@ class _SearchCapHit(Exception):
     pass
 
 
-def _monotone_order(rows, n: int, n_letters: int, budget=None):
-    """Backtracking search for a total state order preserved by every
-    letter; returns the order (smallest first) or None.
+def _tick(budget) -> None:
+    """Spend one node of the shared search budget (a single-element list)."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise _SearchCapHit
 
-    `budget` is a single-element list of remaining backtracking nodes,
-    shared between calls; exhausting it raises _SearchCapHit.
+
+class _PairParity:
+    """Parity union-find, with rollback, over the unordered state pairs of
+    an n-state automaton.
+
+    The bit of the pair {p, q}, p < q, says whether p precedes q.  In a
+    monotone order a letter that sends p and q to distinct states u and v
+    orients {u, v} as it does {p, q}, in both directions, so it ties the
+    two bits with a known parity; a component whose parities disagree
+    refutes every order.  A constant 0 node fixes orientations.  There is
+    no path compression, so `undo` restores any earlier state exactly.
     """
-    pos = {}
-    if budget is None:
-        budget = [50000]
 
-    def consistent():
-        placed = list(pos)
-        for p in placed:
-            for q in placed:
-                if pos[p] >= pos[q]:
-                    continue
-                for i in range(n_letters):
-                    tp, tq = rows[p][i], rows[q][i]
-                    if tp == tq:
-                        continue
-                    if tp in pos and tq in pos:
-                        if pos[tp] > pos[tq]:
-                            return False
-                    elif tp not in pos and tq in pos:
-                        return False  # tp will be placed above tq
+    def __init__(self, n: int):
+        self.n = n
+        self.anchor = n * n
+        self.parent = list(range(n * n + 1))
+        self.parity = [0] * (n * n + 1)
+        self.size = [1] * (n * n + 1)
+        self.trail = []
+
+    def node(self, p: int, q: int) -> int:
+        return p * self.n + q if p < q else q * self.n + p
+
+    def find(self, x: int) -> tuple[int, int]:
+        """The root of x and the parity of x relative to it."""
+        par = 0
+        while self.parent[x] != x:
+            par ^= self.parity[x]
+            x = self.parent[x]
+        return x, par
+
+    def _union(self, x: int, y: int, par: int) -> bool:
+        root_x, par_x = self.find(x)
+        root_y, par_y = self.find(y)
+        if root_x == root_y:
+            return par_x ^ par_y == par
+        if self.size[root_x] > self.size[root_y]:
+            root_x, root_y = root_y, root_x
+        self.parent[root_x] = root_y
+        self.parity[root_x] = par_x ^ par_y ^ par
+        self.size[root_y] += self.size[root_x]
+        self.trail.append(root_x)
         return True
 
-    order = []
+    def tie(self, p: int, q: int, u: int, v: int) -> bool:
+        """p precedes q iff u precedes v; False on a contradiction."""
+        return self._union(self.node(p, q), self.node(u, v), (p > q) ^ (u > v))
 
-    def extend():
-        if len(order) == n:
-            return True
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _SearchCapHit
-        for s in range(n):
-            if s in pos:
+    def fix(self, p: int, q: int) -> None:
+        """p precedes q; made before any tie, so it cannot contradict."""
+        self._union(self.node(p, q), self.anchor, int(p < q))
+
+    def undo(self, mark: int) -> None:
+        """Undo every union made since the trail had length `mark`."""
+        while len(self.trail) > mark:
+            root = self.trail.pop()
+            self.size[self.parent[root]] -= self.size[root]
+            self.parent[root] = root
+            self.parity[root] = 0
+
+
+def _order_from(pairs: _PairParity, budget):
+    """A total order that agrees with every parity in `pairs`, smallest
+    state first, or None.
+
+    Depth-first search over one bit per component; each bit orients the
+    whole component, and transitivity (p < q and q < r force p < r)
+    orients further pairs, whose components follow in turn.  The search
+    is complete: it prunes only on contradictions.
+    """
+    n = pairs.n
+    where = {}
+    members = {}
+    for p in range(n):
+        for q in range(p + 1, n):
+            root, par = pairs.find(pairs.node(p, q))
+            where[p, q] = root, par
+            members.setdefault(root, []).append((p, q, par))
+    roots = sorted(members, key=lambda r: -len(members[r]))
+
+    def settle(value, succ, root, bit):
+        # succ[s] is the bitmask of the states known to follow s
+        queue = [(root, bit)]
+        while queue:
+            r, b = queue.pop()
+            if r in value:
+                if value[r] != b:
+                    return False
                 continue
-            pos[s] = len(order)
-            order.append(s)
-            if consistent() and extend():
-                return True
-            order.pop()
-            del pos[s]
-        return False
+            value[r] = b
+            for p, q, par in members[r]:
+                if not b ^ par:
+                    p, q = q, p  # now p precedes q
+                if succ[q] >> p & 1:
+                    return False
+                if succ[p] >> q & 1:
+                    continue
+                after = succ[q] | 1 << q
+                for s in range(n):
+                    if s != p and not succ[s] >> p & 1:
+                        continue
+                    new = after & ~succ[s]
+                    succ[s] |= new
+                    while new:
+                        t = (new & -new).bit_length() - 1
+                        new &= new - 1
+                        r2, par2 = where[min(s, t), max(s, t)]
+                        queue.append((r2, int(s < t) ^ par2))
+        return True
 
-    return list(order) if extend() else None
+    value, succ = {}, [0] * n
+    anchor_root, anchor_par = pairs.find(pairs.anchor)
+    if anchor_root in members:
+        if not settle(value, succ, anchor_root, anchor_par):
+            return None
+    elif roots:
+        # the reverse of a monotone order is monotone, so with nothing
+        # fixed one value of the first bit suffices
+        if not settle(value, succ, roots[0], 1):
+            return None
+        _tick(budget)
+    stack = [(value, succ)]
+    while stack:
+        value, succ = stack.pop()
+        root = next((r for r in roots if r not in value), None)
+        if root is None:
+            return sorted(range(n), key=lambda s: -succ[s].bit_count())
+        for bit in (1, 0):
+            value2, succ2 = dict(value), list(succ)
+            if settle(value2, succ2, root, bit):
+                _tick(budget)
+                stack.append((value2, succ2))
+    return None
 
 
-def _split_order_search(dfa: Dfa, extra_cap: int, budget):
-    """Search for an ordered automaton for L obtained by duplicating
-    states of the minimal DFA.
+def _split_order(dfa: Dfa, extra_cap: int, budget):
+    """An ordered automaton for L with at most `extra_cap` states more
+    than its minimal DFA: (order, rows, owner), or None.
 
-    Copies of a state keep its residual, so any transition assignment
-    among copies accepts the same language; only the order has to be
-    found.  Returns (order, split_dfa), None when the space is exhausted,
-    or raises _SearchCapHit when the shared budget runs out.
+    Every complete DFA for L whose states are reachable sends each state
+    to its residual, so it splits the minimal DFA's states into copies;
+    conversely any choice of copy for each move accepts L, because copies
+    share their residual.  The splits are tried by number of extra states,
+    starting with the minimal DFA itself, then by which residuals get the
+    extra copies.
     """
     m = dfa.n_states
-    n_letters = len(dfa.alphabet)
-    split_cost = 8  # examining one candidate split counts as this many nodes
-    for extra in range(1, extra_cap + 1):
+    for extra in range(extra_cap + 1):
         for dup in itertools.combinations_with_replacement(range(m), extra):
-            mult = [1] * m
-            for c in dup:
-                mult[c] += 1
-            offsets = [0] * m
-            total = 0
-            for c in range(m):
-                offsets[c] = total
-                total += mult[c]
-
-            slots = [(c, i, a) for c in range(m) for i in range(mult[c])
-                     for a in range(n_letters)]
-            option_ranges = [range(mult[dfa.transitions[c][a]])
-                             for (c, i, a) in slots]
-            for choice in itertools.product(*option_ranges):
-                budget[0] -= split_cost
-                if budget[0] < 0:
-                    raise _SearchCapHit
-                rows = [[0] * n_letters for _ in range(total)]
-                for (c, i, a), j in zip(slots, choice):
-                    t = dfa.transitions[c][a]
-                    rows[offsets[c] + i][a] = offsets[t] + j
-                rows = [tuple(r) for r in rows]
-                start = offsets[dfa.start]
-                # restrict to the reachable part
-                reach = {start}
-                stack = [start]
-                while stack:
-                    s = stack.pop()
-                    for t in rows[s]:
-                        if t not in reach:
-                            reach.add(t)
-                            stack.append(t)
-                if len(reach) <= m:
-                    continue  # no effective duplication
-                remap = {s: i for i, s in enumerate(sorted(reach))}
-                sub = [tuple(remap[rows[s][a]] for a in range(n_letters))
-                       for s in sorted(reach)]
-                finals = set()
-                for c in range(m):
-                    if c in dfa.finals:
-                        for i in range(mult[c]):
-                            g = offsets[c] + i
-                            if g in remap:
-                                finals.add(remap[g])
-                order = _monotone_order(sub, len(sub), n_letters, budget)
-                if order is not None:
-                    split = Dfa(dfa.alphabet, tuple(sub), remap[start],
-                                frozenset(finals))
-                    return order, split
+            split = _Split(dfa, [1 + dup.count(c) for c in range(m)])
+            order = split.order(budget)
+            if order is not None:
+                return order, split.rows, split.owner
     return None
+
+
+class _Split:
+    """The automata with mult[c] copies of each residual c of a minimal
+    DFA, searched for one with a monotone order.
+
+    Numbering the copies of a residual along a monotone order makes each
+    letter's choice of copy nondecreasing along them, so copies are fixed
+    to precede by index and their choices only grow, which loses no
+    solution.  Moves into a residual with one copy are forced; the search
+    branches on the others and ties each state pair as soon as both of
+    its moves are fixed, pruning on a contradiction.
+    """
+
+    def __init__(self, dfa: Dfa, mult):
+        self.dfa = dfa
+        self.mult = mult
+        self.first = list(itertools.accumulate([0] + mult[:-1]))
+        self.owner = [c for c, k in enumerate(mult) for _ in range(k)]
+        self.rows = [[-1] * len(dfa.alphabet) for _ in self.owner]
+        self.pairs = _PairParity(len(self.owner))
+
+    def _place(self, s, a, t) -> bool:
+        rows = self.rows
+        rows[s][a] = t
+        return all(self.pairs.tie(s, s2, t, rows[s2][a])
+                   for s2 in range(len(rows))
+                   if s2 != s and rows[s2][a] not in (-1, t))
+
+    def order(self, budget):
+        """A monotone order over all the copies, or None."""
+        for c, k in enumerate(self.mult):
+            for i, j in itertools.combinations(range(self.first[c],
+                                                     self.first[c] + k), 2):
+                self.pairs.fix(i, j)
+        branch = []
+        for s, c in enumerate(self.owner):
+            for a, d in enumerate(self.dfa.transitions[c]):
+                if self.mult[d] > 1:
+                    branch.append((s, a))
+                elif not self._place(s, a, self.first[d]):
+                    return None
+        return self._descend(branch, 0, budget)
+
+    def _descend(self, branch, i, budget):
+        if i == len(branch):
+            return _order_from(self.pairs, budget)
+        s, a = branch[i]
+        d = self.dfa.transitions[self.owner[s]][a]
+        low = (self.rows[s - 1][a] if s > self.first[self.owner[s]]
+               else self.first[d])
+        for t in range(low, self.first[d] + self.mult[d]):
+            mark = len(self.pairs.trail)
+            if self._place(s, a, t):
+                _tick(budget)
+                order = self._descend(branch, i + 1, budget)
+                if order is not None:
+                    return order
+            self.pairs.undo(mark)
+        self.rows[s][a] = -1
+        return None
 
 
 def _classify_ord(l, config):
     dfa = l.dfa
+    # an ordered automaton has an aperiodic transition monoid (ORD within
+    # NC), so a counting language is out at any size
+    if aperiodicity_bound(dfa, cap=config.monoid_cap) is None:
+        return _no(Family.ORD, "transition monoid is not aperiodic")
     if dfa.n_states > config.ord_state_cap:
         return _unknown(Family.ORD,
                         f"state cap {config.ord_state_cap} exceeded")
-    # an ordered automaton has an aperiodic transition monoid, so a
-    # non-counting failure rules the family out immediately
-    if aperiodicity_bound(dfa, cap=config.monoid_cap) is None:
-        return _no(Family.ORD, "transition monoid is not aperiodic")
     budget = [config.ord_search_budget]
     try:
-        order = _monotone_order(dfa.transitions, dfa.n_states,
-                                len(dfa.alphabet), budget)
-        if order is not None:
-            return _yes(Family.ORD, {"order": order})
-        found = _split_order_search(dfa, config.ord_split_extra, budget)
+        found = _split_order(dfa, config.ord_split_extra, budget)
     except _SearchCapHit:
         return _unknown(Family.ORD, "order search budget exceeded")
-    if found is not None:
-        order, split = found
-        return _yes(Family.ORD, {
-            "order": order,
-            "automaton": automata.dfa_to_text(split),
-        })
-    return _no(Family.ORD,
-               "no monotone order on the minimal DFA or its bounded splits")
+    if found is None:
+        # no bound on the extra states an ordered automaton may need is
+        # known, so an empty bounded search decides nothing
+        return _unknown(Family.ORD, "no ordered automaton with at most "
+                        f"{config.ord_split_extra} extra states")
+    order, rows, owner = found
+    if len(owner) == dfa.n_states:  # the minimal DFA is ordered
+        return _yes(Family.ORD, {"order": order})
+    split = Dfa(dfa.alphabet, tuple(map(tuple, rows)),
+                owner.index(dfa.start),
+                frozenset(s for s, c in enumerate(owner) if c in dfa.finals))
+    keep = sorted(reachable(split))
+    renumber = {s: i for i, s in enumerate(keep)}
+    split = Dfa(dfa.alphabet,
+                tuple(tuple(renumber[t] for t in rows[s]) for s in keep),
+                renumber[split.start],
+                frozenset(renumber[s] for s in keep if s in split.finals))
+    return _yes(Family.ORD, {
+        "order": [renumber[s] for s in order if s in renumber],
+        "automaton": automata.dfa_to_text(split),
+    })
 
 
 def _one_swap_image(dfa: Dfa):
@@ -712,9 +831,11 @@ IMPLICATIONS = [
 
 def classify_all(l: LanguageHandle,
                  config: ClassifierConfig = DEFAULT_CONFIG) -> dict[Family, Verdict]:
-    verdicts = {f: classify(l, f, config) for f in Family}
-    if verdicts[Family.NC].outcome != verdicts[Family.SF].outcome:
-        raise ConsistencyError("NC and SF verdicts differ")
+    verdicts = {}
+    for f in Family:
+        # SF = NC (Schützenberger; McNaughton & Papert): NC decides both
+        verdicts[f] = (replace(verdicts[Family.NC], family=f)
+                       if f is Family.SF else classify(l, f, config))
     for x, y in IMPLICATIONS:
         if (verdicts[x].outcome is Outcome.YES
                 and verdicts[y].outcome is Outcome.NO):
@@ -847,4 +968,6 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
                     and equivalent(automata.dfa_of(r, V), dfa))
     except KeyError as exc:
         raise CertificateError(f"missing certificate field {exc}") from exc
+    except ResourceCapExceeded as exc:
+        raise CertificateError(f"cannot check certificate: {exc}") from exc
     raise CertificateError(f"family {family} carries no certificate")

@@ -63,29 +63,29 @@ class Regex:
         return render(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty(Regex):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym(Regex):
     letter: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Union(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Regex):
     inner: Regex
 

@@ -1,9 +1,10 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 
-from subreg import classify as cl
+from subreg import automata as au, classify as cl
 from subreg.automata import Dfa
 from subreg.classify import DEFAULT_CONFIG, Family, Outcome
 from subreg.language import LanguageHandle
@@ -192,6 +193,8 @@ class TestClassifyAll:
             verdicts = cl.classify_all(lang(text))
             assert set(verdicts) == set(Family)
             assert verdicts[Family.NC].outcome is verdicts[Family.SF].outcome
+            assert verdicts[Family.SF] == dataclasses.replace(
+                verdicts[Family.NC], family=Family.SF)
 
     def test_uf_never_no(self):
         for text in ("(a|b)*a", "a|b", "(aa)*"):
@@ -202,6 +205,13 @@ class TestClassifyAll:
         cfg = dataclasses.replace(DEFAULT_CONFIG, ord_state_cap=1)
         v = cl.classify(lang("(ab)*"), Family.ORD, cfg)
         assert v.outcome is Outcome.UNKNOWN
+
+    def test_counting_language_is_no_beyond_the_state_cap(self):
+        h = lang("(" + "a" * 11 + ")*", "a")
+        assert h.dfa.n_states > DEFAULT_CONFIG.ord_state_cap
+        v = cl.classify(h, Family.ORD)
+        assert v.outcome is Outcome.NO
+        assert v.reason == "transition monoid is not aperiodic"
 
     def test_monoid_cap_gives_unknown(self):
         cfg = dataclasses.replace(DEFAULT_CONFIG, monoid_cap=2)
@@ -215,3 +225,122 @@ class TestClassifyAll:
         v = cl.classify(lang("(a|b)*b"), Family.SYDEF, cfg)
         assert v.outcome is Outcome.UNKNOWN
         assert v.reason == "no single-word E within bound 2"
+
+
+class TestCertificateCaps:
+    def test_cap_hit_is_a_certificate_error(self):
+        cfg = dataclasses.replace(DEFAULT_CONFIG, monoid_cap=1)
+        for family in (Family.NC, Family.SF, Family.PS):
+            with pytest.raises(cl.CertificateError,
+                               match="transition monoid exceeds cap 1"):
+                cl.verify_certificate(lang("(ab)*"), family, {"bound": 1}, cfg)
+
+
+# ---------------------------------------------------------------------------
+# ORD against a brute-force definition
+
+
+def _ordered_within(dfa: Dfa, extra: int) -> bool:
+    """Whether L has an ordered automaton with at most `extra` states more
+    than its minimal DFA `dfa`, by enumeration.
+
+    Such an automaton, its states listed in increasing order and each
+    labelled by its residual, is a word w over the states of `dfa` that
+    holds each of them.  A letter a maps it monotonically exactly when
+    targets of the right labels can be picked in nondecreasing positions,
+    that is, when a(w) with runs of equal labels collapsed is a
+    subsequence of w.
+    """
+    m = dfa.n_states
+    columns = list(zip(*dfa.transitions))
+    for length in range(m, m + extra + 1):
+        for w in itertools.product(range(m), repeat=length):
+            if len(set(w)) < m:
+                continue
+            ok = True
+            for column in columns:
+                image = [column[c] for c in w]
+                collapsed = [t for i, t in enumerate(image)
+                             if i == 0 or image[i - 1] != t]
+                rest = iter(w)
+                if not all(t in rest for t in collapsed):
+                    ok = False
+                    break
+            if ok:
+                return True
+    return False
+
+
+def _minimal_dfas(n_states):
+    """Distinct minimal DFAs of the complete DFAs over {a,b} with
+    `n_states` states and start 0."""
+    out = set()
+    for moves in itertools.product(range(n_states), repeat=2 * n_states):
+        rows = tuple(moves[2 * s:2 * s + 2] for s in range(n_states))
+        for mask in range(1 << n_states):
+            finals = frozenset(s for s in range(n_states) if mask >> s & 1)
+            out.add(au.minimize(Dfa(("a", "b"), rows, 0, finals)))
+    return out
+
+
+def _random_aperiodic_minimal_dfas(rng, n_states, count):
+    # most random DFAs count modulo some number; those are covered above
+    out = set()
+    while len(out) < count:
+        rows = tuple(tuple(rng.randrange(n_states) for _ in "ab")
+                     for _ in range(n_states))
+        finals = frozenset(s for s in range(n_states) if rng.random() < 0.5)
+        dfa = au.minimize(Dfa(("a", "b"), rows, 0, finals))
+        if dfa.n_states == n_states and cl.is_aperiodic(dfa):
+            out.add(dfa)
+    return sorted(out, key=au.dfa_to_text)
+
+
+def _check_ord_against_oracle(dfa: Dfa) -> Outcome:
+    h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
+    assert h.dfa == dfa
+    v = cl.classify(h, Family.ORD)
+    extra = DEFAULT_CONFIG.ord_split_extra
+    assert (v.outcome is Outcome.YES) == _ordered_within(dfa, extra), \
+        au.dfa_to_text(dfa)
+    if v.outcome is Outcome.YES:
+        assert cl.verify_certificate(h, Family.ORD, v.certificate)
+        if "automaton" in v.certificate:
+            split = au.dfa_from_text(v.certificate["automaton"])
+            assert au.reachable(split) == set(range(split.n_states))
+    elif v.outcome is Outcome.UNKNOWN:
+        assert v.reason == (
+            f"no ordered automaton with at most {extra} extra states")
+    return v.outcome
+
+
+class TestOrderedOracle:
+    def test_every_minimal_dfa_up_to_three_states(self):
+        dfas = set()
+        for n in (1, 2, 3):
+            dfas |= _minimal_dfas(n)
+        assert len(dfas) == 1054
+        outcomes = [_check_ord_against_oracle(d) for d in dfas]
+        assert outcomes.count(Outcome.NO) == 880
+        assert outcomes.count(Outcome.YES) == 174
+
+    def test_sampled_four_and_five_state_dfas(self):
+        rng = random.Random(20240811)
+        dfas = (_random_aperiodic_minimal_dfas(rng, 4, 30)
+                + _random_aperiodic_minimal_dfas(rng, 5, 30))
+        outcomes = [_check_ord_against_oracle(d) for d in dfas]
+        assert set(outcomes) == {Outcome.YES, Outcome.UNKNOWN}
+
+    def test_definite_language_without_a_small_ordered_automaton(self):
+        h = lang("ba(a|b)b")
+        verdicts = cl.classify_all(h)
+        assert verdicts[Family.DEF].outcome is Outcome.YES
+        assert verdicts[Family.ORD].outcome is Outcome.UNKNOWN
+        assert verdicts[Family.ORD].reason == (
+            "no ordered automaton with at most 2 extra states")
+
+    def test_search_budget_gives_unknown(self):
+        cfg = dataclasses.replace(DEFAULT_CONFIG, ord_search_budget=1)
+        v = cl.classify(lang("(ab)*"), Family.ORD, cfg)
+        assert v.outcome is Outcome.UNKNOWN
+        assert v.reason == "order search budget exceeded"

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from subreg import hierarchy as hi, regex as rx
+from subreg import classify as cl, hierarchy as hi, regex as rx
+from subreg.classify import DEFAULT_CONFIG
 from subreg.hierarchy import FIG1, FIG2, Relation
 
 
@@ -58,6 +61,27 @@ class TestWitnessRegistry:
             for edge in graph.edges:
                 if edge.provenance.startswith("witness:"):
                     assert edge.provenance.split(":", 1)[1] in ids, edge
+
+
+    def test_language_claim_fails_with_the_cap(self):
+        entry = hi._lang_entry("ab_star", "(ab)*", "ab", yes=["NC"],
+                               supplied={"NC": {"bound": 1}})
+        cfg = dataclasses.replace(DEFAULT_CONFIG, monoid_cap=1)
+        report = hi.verify_witnesses([entry], cfg)
+        assert report["n_failed"] == 1
+        assert ("transition monoid exceeds cap 1"
+                in report["failed"][0]["reason"])
+
+    def test_grammar_claim_fails_with_the_error(self, monkeypatch):
+        def unverifiable(*args):
+            raise cl.CertificateError("cannot check certificate: cap 1")
+
+        monkeypatch.setattr(cl, "verify_certificate", unverifiable)
+        entry = hi._grammar_entry("ex1", "ex1", ["ORD"])
+        report = hi.verify_witnesses([entry])
+        assert report["failed"] == [{
+            "witness": "ex1", "family": "EC(ORD)", "expected": "yes",
+            "reason": "cannot check certificate: cap 1"}]
 
 
 class TestRandomCorpus:
