@@ -152,15 +152,6 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.transitions)
 
-    def letter_index(self, a: str) -> int:
-        try:
-            return self.alphabet.index(a)
-        except ValueError:
-            raise AlphabetMismatchError(f"letter {a!r} not in alphabet") from None
-
-    def step(self, state: int, a: str) -> int:
-        return self.transitions[state][self.letter_index(a)]
-
     def run(self, word: str) -> int:
         state = self.start
         idx = {a: i for i, a in enumerate(self.alphabet)}
@@ -345,25 +336,25 @@ def cardinality_class(dfa: Dfa) -> CardinalityClass:
     useful = useful_states(dfa)
     if dfa.start not in useful:
         return CardinalityClass.EMPTY
-    # cycle detection restricted to useful states
-    color = {}
-
-    def has_cycle(s):
-        color[s] = 1
-        for t in dfa.transitions[s]:
-            if t not in useful:
-                continue
-            c = color.get(t, 0)
-            if c == 1:
-                return True
-            if c == 0 and has_cycle(t):
-                return True
-        color[s] = 2
-        return False
-
+    # L is infinite iff the useful states carry a cycle, that is iff a
+    # topological sort of them (Kahn) cannot remove them all
+    indegree = dict.fromkeys(useful, 0)
     for s in useful:
-        if color.get(s, 0) == 0 and has_cycle(s):
-            return CardinalityClass.INFINITE
+        for t in dfa.transitions[s]:
+            if t in useful:
+                indegree[t] += 1
+    ready = [s for s, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        s = ready.pop()
+        removed += 1
+        for t in dfa.transitions[s]:
+            if t in useful:
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    ready.append(t)
+    if removed < len(useful):
+        return CardinalityClass.INFINITE
     return CardinalityClass.FINITE_NONEMPTY
 
 
@@ -489,10 +480,6 @@ def epsilon_dfa(alphabet: tuple[str, ...]) -> Dfa:
     return Dfa(alphabet, ((1,) * k, (1,) * k), 0, frozenset({0}))
 
 
-def empty_dfa(alphabet: tuple[str, ...]) -> Dfa:
-    return Dfa(alphabet, ((0,) * len(alphabet),), 0, frozenset())
-
-
 # ---------------------------------------------------------------------------
 # Enumeration and quotients
 
@@ -561,9 +548,6 @@ class TransitionMonoidElement:
 
     mapping: tuple[int, ...]
     word: str
-
-    def apply(self, state: int) -> int:
-        return self.mapping[state]
 
 
 def transition_monoid(dfa: Dfa, cap: int = 10 ** 6) -> list[TransitionMonoidElement]:

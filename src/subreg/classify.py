@@ -37,7 +37,6 @@ from .automata import (
     subset,
     to_nfa,
     transition_monoid,
-    union_nfa,
     universe_dfa,
 )
 from .language import LanguageHandle
@@ -526,7 +525,7 @@ def _rotate_image(dfa: Dfa):
     nfa = automata.Nfa(n * k + 1, dfa.alphabet)
     inits = set()
     for gi, g in enumerate(dfa.alphabet):
-        inits.add(gi * n + dfa.step(dfa.start, g))
+        inits.add(gi * n + dfa.transitions[dfa.start][gi])
         for s in range(n):
             for i, a in enumerate(dfa.alphabet):
                 nfa.add(gi * n + s, a, gi * n + dfa.transitions[s][i])
@@ -558,15 +557,13 @@ def _power_profile(mapping, start):
         seq.append(s)
 
 
-def aperiodicity_bound(dfa: Dfa, monoid=None, cap: int = 10 ** 6):
+def aperiodicity_bound(dfa: Dfa, cap: int = 10 ** 6):
     """Smallest k with t^k = t^(k+1) for every transition-monoid element,
     or None if some element is not eventually idempotent (i.e. the monoid
     is not aperiodic)."""
-    if monoid is None:
-        monoid = transition_monoid(dfa, cap)
     n = dfa.n_states
     bound = 1
-    for elem in monoid:
+    for elem in transition_monoid(dfa, cap):
         powers = {}
         t = elem.mapping
         power = t
@@ -616,9 +613,11 @@ def _classify_star(l, config):
 
 
 def _stabilizer_word(dfa: Dfa):
-    """Shortest non-empty word g with g.L <= L, or None."""
-    good = {p for p in range(dfa.n_states)
-            if subset(dfa, residual(dfa, p))}
+    """Shortest non-empty word g with g.L <= L, length-lex first, or None.
+
+    g.L <= L holds iff L <= g^-1 L, the residual at the state g reaches;
+    the breadth-first search tests each state when it first reaches it.
+    """
     frontier = [("", dfa.start)]
     visited = set()
     while frontier:
@@ -626,12 +625,12 @@ def _stabilizer_word(dfa: Dfa):
         for word, s in frontier:
             for i, a in enumerate(dfa.alphabet):
                 t = dfa.transitions[s][i]
-                w = word + a
-                if t in good:
-                    return w
-                if t not in visited:
-                    visited.add(t)
-                    nxt.append((w, t))
+                if t in visited:
+                    continue
+                visited.add(t)
+                if subset(dfa, residual(dfa, t)):
+                    return word + a
+                nxt.append((word + a, t))
         frontier = nxt
     return None
 
@@ -670,54 +669,12 @@ def _prefixes_of_language(dfa: Dfa, bound: int):
     return [w for w in out if len(w) <= bound]
 
 
-def decide_2com_bounded(l: LanguageHandle, bound: int,
-                        config: ClassifierConfig = DEFAULT_CONFIG) -> Verdict:
-    """Bounded search for a two-sided comet decomposition E G^* H with a
-    finite E of short prefixes and a single-word G."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+def _classify_twocom(l, config):
+    """E G^* H: exact for empty and finite L, a one-sided comet's
+    certificate when there is one, else a bounded search for a finite E
+    of short prefixes and a single-word G."""
     dfa = l.dfa
     card = cardinality_class(dfa)
-    if card is CardinalityClass.EMPTY:
-        return _yes(Family.TWOCOM,
-                    {"E": "0", "G": l.alphabet[0], "H": "1"})
-    if card is CardinalityClass.FINITE_NONEMPTY:
-        return _no(Family.TWOCOM, "finite non-empty languages are not comets")
-
-    prefixes = _prefixes_of_language(dfa, bound)
-    gs = [w for w in automata.all_words(l.alphabet, bound) if w]
-    tried = 0
-    for size in range(1, len(prefixes) + 1):
-        for e_set in itertools.combinations(prefixes, size):
-            tried += 1
-            if tried > config.twocom_subset_cap:
-                return _unknown(Family.TWOCOM, "subset cap exhausted")
-            mid = left_word_quotient(dfa, e_set[0])
-            for e in e_set[1:]:
-                mid = intersect(mid, left_word_quotient(dfa, e))
-            mid = minimize(mid)
-            pieces = None
-            for e in e_set:
-                piece = concat_nfa(
-                    automata.compile_regex(rx.word_regex(e), l.alphabet), mid)
-                pieces = piece if pieces is None else union_nfa(pieces, piece)
-            recombined = determinize(pieces)
-            if not equivalent(recombined, dfa):
-                continue
-            for g in gs:
-                shifted = determinize(concat_nfa(
-                    automata.compile_regex(rx.word_regex(g), l.alphabet), mid))
-                if subset(shifted, mid):
-                    return _yes(Family.TWOCOM, {
-                        "E": list(e_set),
-                        "G": g,
-                        "H": rx.render(dfa_to_regex(mid)),
-                    })
-    return _unknown(Family.TWOCOM, f"no certificate within bound {bound}")
-
-
-def _classify_twocom(l, config):
-    card = cardinality_class(l.dfa)
     if card is CardinalityClass.EMPTY:
         return _yes(Family.TWOCOM, {"E": "0", "G": l.alphabet[0], "H": "1"})
     if card is CardinalityClass.FINITE_NONEMPTY:
@@ -730,7 +687,32 @@ def _classify_twocom(l, config):
     if lv.outcome is Outcome.YES:
         return _yes(Family.TWOCOM, {"E": rx.render(l.regex),
                                     "G": lv.certificate["g"], "H": "1"})
-    return decide_2com_bounded(l, config.twocom_bound, config)
+    bound = config.twocom_bound
+    prefixes = _prefixes_of_language(dfa, bound)
+    tried = 0
+    for size in range(1, len(prefixes) + 1):
+        for e_set in itertools.combinations(prefixes, size):
+            tried += 1
+            if tried > config.twocom_subset_cap:
+                return _unknown(Family.TWOCOM, "subset cap exhausted")
+            # H = M, the largest language with E.M <= L
+            mid = left_word_quotient(dfa, e_set[0])
+            for e in e_set[1:]:
+                mid = intersect(mid, left_word_quotient(dfa, e))
+            mid = minimize(mid)
+            e_nfa = automata.compile_regex(rx.finite_language_regex(e_set),
+                                           l.alphabet)
+            if not equivalent(determinize(concat_nfa(e_nfa, mid)), dfa):
+                continue
+            # G = g with g.M <= M, so E g^* M = E M = L
+            g = _stabilizer_word(mid)
+            if g is not None and len(g) <= bound:
+                return _yes(Family.TWOCOM, {
+                    "E": list(e_set),
+                    "G": g,
+                    "H": rx.render(dfa_to_regex(mid)),
+                })
+    return _unknown(Family.TWOCOM, f"no certificate within bound {bound}")
 
 
 def _classify_sydef(l, config):

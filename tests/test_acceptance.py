@@ -9,12 +9,14 @@ import functools
 import itertools
 import random
 import sys
+from unittest import mock
 
 from subreg import automata as au, classify as cl, comets, grammar as gr, \
     hierarchy as hi, regex as rx
 from subreg.automata import Dfa
 from subreg.classify import DEFAULT_CONFIG, Family, Outcome
 from subreg.language import LanguageHandle
+from test_golden import read_golden, twocom_line
 
 AB = ("a", "b")
 
@@ -267,6 +269,18 @@ def test_criterion_9_hierarchy_verification():
     assert report["n_failed"] == 0, report["failed"]
     for item in report["skipped"]:
         assert item["reason"], item
-    edges = hi.edge_consistency_check(corpus=hi.random_corpus(1000))
+    # the corpus pass also checks the golden 2COM verdicts, so the suite
+    # classifies the corpus once
+    lines = []
+    real = cl.classify_all
+
+    def spy(handle, config):
+        verdicts = real(handle, config)
+        lines.append(twocom_line(handle, verdicts))
+        return verdicts
+
+    with mock.patch.object(cl, "classify_all", spy):
+        edges = hi.edge_consistency_check(corpus=hi.random_corpus(1000))
     assert edges["corpus_size"] >= 1000
     assert edges["n_violations"] == 0, edges["violations"]
+    assert lines == read_golden("twocom_corpus.jsonl")

@@ -114,6 +114,16 @@ class TestCardinalityAndEnumeration:
         assert au.cardinality_class(dfa("a|ab")) is C.FINITE_NONEMPTY
         assert au.cardinality_class(dfa("a*")) is C.INFINITE
 
+    def test_cardinality_class_of_a_long_word(self):
+        # a 3002-state chain, built without `minimize` (quadratic on chains)
+        C = au.CardinalityClass
+        word = rx.word_regex("a" * 3000)
+        for r, expected in ((word, C.FINITE_NONEMPTY),
+                            (rx.cat(word, rx.star(rx.Sym("a"))), C.INFINITE)):
+            d = au.determinize(au.compile_regex(r, ("a",)))
+            assert d.n_states >= 3001
+            assert au.cardinality_class(d) is expected
+
     def test_enumerate_finite(self):
         got = au.enumerate_words(dfa("a|ab|1"), 5)
         assert got == ["", "a", "ab"]

@@ -131,17 +131,22 @@ class TestCertificates:
 
 
 class TestBoundedDeciders:
+    # neither a left nor a right comet; E = {c} needs prefixes of length 1
+    # and G = ab a word of length 2
     def test_2com_finds_decomposition(self):
         h = lang("c(ab)*c", "abc")
-        v = cl.decide_2com_bounded(h, 2, DEFAULT_CONFIG)
+        config = dataclasses.replace(DEFAULT_CONFIG, twocom_bound=2)
+        v = cl.classify(h, Family.TWOCOM, config)
         assert v.outcome is Outcome.YES
+        assert v.certificate == {"E": ["c"], "G": "ab", "H": "(ab)*c"}
         assert cl.verify_certificate(h, Family.TWOCOM, v.certificate)
 
     def test_2com_unknown_when_bound_too_small(self):
-        # needs a first part with words of length 3
-        h = lang("aab(ab)*", "ab")
-        v = cl.decide_2com_bounded(h, 1, DEFAULT_CONFIG)
-        assert v.outcome in (Outcome.YES, Outcome.UNKNOWN)
+        h = lang("c(ab)*c", "abc")
+        config = dataclasses.replace(DEFAULT_CONFIG, twocom_bound=1)
+        v = cl.classify(h, Family.TWOCOM, config)
+        assert v.outcome is Outcome.UNKNOWN
+        assert v.reason == "no certificate within bound 1"
 
     def test_sydef_unknown_only_when_allowed(self):
         # ORD resource caps aside, Unknown may appear only for the

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from subreg import classify as cl, hierarchy as hi, regex as rx
+from subreg import classify as cl, grammar as gr, hierarchy as hi, regex as rx
 from subreg.classify import DEFAULT_CONFIG
 from subreg.hierarchy import FIG1, FIG2, Relation
 
@@ -82,6 +82,22 @@ class TestWitnessRegistry:
         assert report["failed"] == [{
             "witness": "ex1", "family": "EC(ORD)", "expected": "yes",
             "reason": "cannot check certificate: cap 1"}]
+
+    def test_fixtures_built_once_and_enumerated_once_per_entry(
+            self, monkeypatch):
+        calls = {"fixtures": 0, "enumerate_language": 0}
+        for name in calls:
+            real = getattr(gr, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(gr, name, counted)
+        entries = [e for e in hi.registry() if e.kind == "grammar"]
+        report = hi.verify_witnesses(entries)
+        assert report["n_failed"] == 0, report["failed"]
+        assert calls == {"fixtures": 1, "enumerate_language": len(entries)}
 
 
 class TestRandomCorpus:
