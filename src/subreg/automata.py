@@ -367,7 +367,7 @@ def complement(dfa: Dfa) -> Dfa:
                frozenset(range(dfa.n_states)) - dfa.finals)
 
 
-def _product(a: Dfa, b: Dfa, keep) -> Dfa:
+def intersect(a: Dfa, b: Dfa) -> Dfa:
     _check_same_alphabet(a, b)
     ids = {(a.start, b.start): 0}
     rows = []
@@ -384,21 +384,9 @@ def _product(a: Dfa, b: Dfa, keep) -> Dfa:
             row.append(ids[nxt])
         rows.append(row)
     for (p, q), i in ids.items():
-        if keep(p in a.finals, q in b.finals):
+        if p in a.finals and q in b.finals:
             finals.add(i)
     return Dfa(a.alphabet, tuple(tuple(r) for r in rows), 0, frozenset(finals))
-
-
-def intersect(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x and y)
-
-
-def union_dfa(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x or y)
-
-
-def difference(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x and not y)
 
 
 def _shifted(a: Nfa | Dfa, by: int) -> Nfa:
@@ -628,39 +616,6 @@ def dfa_to_regex(dfa: Dfa) -> Regex:
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-
-def to_dot(obj: Dfa | Nfa, name: str = "automaton") -> str:
-    """Graphviz DOT rendering with stable node ordering."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  node [shape=circle];']
-    if isinstance(obj, Dfa):
-        finals = obj.finals
-        lines.append('  __start [shape=point];')
-        lines.append(f"  __start -> q{obj.start};")
-        for s in range(obj.n_states):
-            shape = "doublecircle" if s in finals else "circle"
-            lines.append(f"  q{s} [shape={shape}];")
-        grouped: dict[tuple[int, int], list[str]] = {}
-        for s, row in enumerate(obj.transitions):
-            for i, t in enumerate(row):
-                grouped.setdefault((s, t), []).append(obj.alphabet[i])
-        for (s, t), labels in sorted(grouped.items()):
-            lines.append(f'  q{s} -> q{t} [label="{",".join(labels)}"];')
-    else:
-        lines.append('  __start [shape=point];')
-        for s in sorted(obj.initials):
-            lines.append(f"  __start -> q{s};")
-        for s in range(obj.n_states):
-            shape = "doublecircle" if s in obj.finals else "circle"
-            lines.append(f"  q{s} [shape={shape}];")
-        grouped = {}
-        for (s, l), ts in obj.moves.items():
-            for t in ts:
-                grouped.setdefault((s, t), []).append(l)
-        for (s, t), labels in sorted(grouped.items()):
-            lines.append(f'  q{s} -> q{t} [label="{",".join(sorted(labels))}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def dfa_to_text(dfa: Dfa) -> str:

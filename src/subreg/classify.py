@@ -25,7 +25,6 @@ from .automata import (
     determinize_minimize,
     dfa_to_regex,
     enumerate_words,
-    epsilon_dfa,
     equivalent,
     intersect,
     left_word_quotient,
@@ -106,7 +105,6 @@ class ClassifierConfig:
     twocom_subset_cap: int = 4096
     sydef_bound: int = 2
     sydef_state_cap: int = 4096
-    def_iteration_cap: int = 4096
     def_word_cap: int = 1 << 16
     monoid_cap: int = 10 ** 6
 
@@ -157,27 +155,24 @@ def _classify_nil(l, config):
 
 
 def _classify_comb(l, config):
-    x = [a for a in l.alphabet if l.accepts(a)]
-    target = rx.cat(rx.star(rx.finite_language_regex(l.alphabet)),
-                    rx.finite_language_regex(x))
-    if equivalent(l.dfa, automata.dfa_of(target, l.alphabet)):
-        return _yes(Family.COMB, {"X": x})
+    # V* X with X the letters in L is the only candidate
+    cert = {"X": [a for a in l.alphabet if l.accepts(a)]}
+    if verify_certificate(l, Family.COMB, cert, config):
+        return _yes(Family.COMB, cert)
     return _no(Family.COMB)
 
 
-def _def_window(dfa: Dfa, iteration_cap: int):
+def _def_window(dfa: Dfa):
     """Minimal k such that acceptance of length-k continuations agrees on
-    every state pair, or None if no such k exists."""
+    every state pair, or None if no such k exists.  A definite automaton
+    with n states is (n-1)-definite (Perles, Rabin & Shamir 1963), so k < n.
+    """
     n = dfa.n_states
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    bad = frozenset((p, q) for p, q in pairs
-                    if (p in dfa.finals) != (q in dfa.finals))
-    seen = set()
-    k = 0
-    while bad:
-        if bad in seen or k > iteration_cap:
-            return None
-        seen.add(bad)
+    bad = {(p, q) for p, q in pairs if (p in dfa.finals) != (q in dfa.finals)}
+    for k in range(n):
+        if not bad:
+            return k
         nxt = set()
         for p, q in pairs:
             for i in range(len(dfa.alphabet)):
@@ -185,14 +180,13 @@ def _def_window(dfa: Dfa, iteration_cap: int):
                 if tp != tq and (min(tp, tq), max(tp, tq)) in bad:
                     nxt.add((p, q))
                     break
-        bad = frozenset(nxt)
-        k += 1
-    return k
+        bad = nxt
+    return None
 
 
 def _classify_def(l, config):
     dfa = l.dfa
-    k = _def_window(dfa, config.def_iteration_cap)
+    k = _def_window(dfa)
     if k is None:
         return _no(Family.DEF)
     cert = {"window": k}
@@ -832,19 +826,53 @@ def classify_all(l: LanguageHandle,
 # Certificate verification
 
 
-def _lang_dfa(value, alphabet) -> Dfa:
-    """Build a DFA from a certificate language value (regex string or
+def _lang_regex(value, alphabet) -> rx.Regex:
+    """The regex of a certificate language value (regex text or an
     explicit word list)."""
     if isinstance(value, str):
-        return automata.dfa_of(rx.parse_regex(value, alphabet), alphabet)
+        return rx.parse_regex(value, alphabet)
     if isinstance(value, (list, tuple, set, frozenset)):
-        return automata.dfa_of(rx.finite_language_regex(value), alphabet)
+        r = rx.finite_language_regex(value)
+        extra = set().union(*value) - set(alphabet)
+        if extra:
+            raise automata.AlphabetMismatchError(
+                f"letters {sorted(extra)} not in alphabet")
+        return r
     raise CertificateError(f"cannot interpret language value {value!r}")
 
 
-def _nontrivial_middle(g_dfa: Dfa, alphabet) -> bool:
-    return (cardinality_class(g_dfa) is not CardinalityClass.EMPTY
-            and not equivalent(g_dfa, epsilon_dfa(alphabet)))
+def _comet_parts(l: LanguageHandle, family: Family, cert: dict):
+    """The parts (A, E, G, H) of L = A | E G* H that a rational
+    certificate states, or None for a family it does not fit."""
+    V = l.alphabet
+    one, sigma = rx.EPSILON, rx.finite_language_regex(V)
+
+    def lang(key):
+        return _lang_regex(cert[key], V)
+
+    if family is Family.COMB:
+        x = cert["X"]
+        if any(a not in V for a in x):
+            raise CertificateError("X must contain alphabet letters")
+        return rx.EMPTY, one, sigma, rx.finite_language_regex(x)
+    if family is Family.DEF:
+        a_part, b_part = cert["A"], cert["B"]
+        return (rx.finite_language_regex(a_part), one, sigma,
+                rx.finite_language_regex(b_part))
+    if family is Family.SYDEF:
+        return rx.EMPTY, lang("E"), sigma, lang("H")
+    if family is Family.STAR:
+        return rx.EMPTY, one, lang("H"), one
+    if family in (Family.RCOM, Family.LCOM):
+        g = _lang_regex(cert.get("G", cert.get("g")), V)
+        if family is Family.RCOM:
+            return rx.EMPTY, one, g, lang("H") if "H" in cert else l.regex
+        return rx.EMPTY, lang("E") if "E" in cert else l.regex, g, one
+    if family is Family.TWOCOM:
+        return rx.EMPTY, lang("E"), lang("G"), lang("H")
+    if family is Family.UF:
+        return rx.EMPTY, rx.parse_regex(cert["regex"], V), rx.EMPTY, one
+    return None
 
 
 def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
@@ -856,26 +884,18 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
     V = l.alphabet
     dfa = l.dfa
     try:
-        if family is Family.COMB:
-            x = cert["X"]
-            if any(a not in V for a in x):
-                raise CertificateError("X must contain alphabet letters")
-            target = rx.cat(rx.star(rx.finite_language_regex(V)),
-                            rx.finite_language_regex(x))
-            return equivalent(dfa, automata.dfa_of(target, V))
-        if family is Family.DEF:
-            a_part = cert["A"]
-            b_part = cert["B"]
-            target = rx.union(
-                rx.finite_language_regex(a_part),
-                rx.cat(rx.star(rx.finite_language_regex(V)),
-                       rx.finite_language_regex(b_part)))
-            return equivalent(dfa, automata.dfa_of(target, V))
-        if family is Family.SYDEF:
-            e = _lang_dfa(cert["E"], V)
-            h = _lang_dfa(cert["H"], V)
-            lhs = determinize(concat_nfa(concat_nfa(e, universe_dfa(V)), h))
-            return equivalent(lhs, dfa)
+        parts = _comet_parts(l, family, cert)
+        if parts is not None:
+            a, e, g, h = parts
+            # a comet's middle is neither empty nor {lambda}
+            if (family in (Family.RCOM, Family.LCOM, Family.TWOCOM)
+                    and rx.language_class(g) in (rx.LanguageClass.EMPTY,
+                                                 rx.LanguageClass.LAMBDA)):
+                return False
+            if family is Family.UF and not rx.is_syntactically_union_free(e):
+                return False
+            expr = rx.union(a, rx.cat(e, rx.cat(rx.star(g), h)))
+            return equivalent(automata.dfa_of(expr, V), dfa)
         if family is Family.ORD:
             if "automaton" in cert:
                 machine = automata.dfa_from_text(cert["automaton"])
@@ -919,35 +939,6 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
                 if pre + 1 > m and len({s in dfa.finals for s in seq[m - 1:]}) > 1:
                     return False
             return True
-        if family is Family.STAR:
-            h = _lang_dfa(cert["H"], V)
-            return equivalent(determinize(star_nfa(h)), dfa)
-        if family is Family.RCOM:
-            g = _lang_dfa(cert.get("G", cert.get("g")), V)
-            h = _lang_dfa(cert["H"], V) if "H" in cert else dfa
-            if not _nontrivial_middle(g, V):
-                return False
-            lhs = determinize(concat_nfa(star_nfa(g), h))
-            return equivalent(lhs, dfa)
-        if family is Family.LCOM:
-            g = _lang_dfa(cert.get("G", cert.get("g")), V)
-            e = _lang_dfa(cert["E"], V) if "E" in cert else dfa
-            if not _nontrivial_middle(g, V):
-                return False
-            lhs = determinize(concat_nfa(e, star_nfa(g)))
-            return equivalent(lhs, dfa)
-        if family is Family.TWOCOM:
-            e = _lang_dfa(cert["E"], V)
-            g = _lang_dfa(cert["G"], V)
-            h = _lang_dfa(cert["H"], V)
-            if not _nontrivial_middle(g, V):
-                return False
-            lhs = determinize(concat_nfa(concat_nfa(e, star_nfa(g)), h))
-            return equivalent(lhs, dfa)
-        if family is Family.UF:
-            r = rx.parse_regex(cert["regex"], V)
-            return (rx.is_syntactically_union_free(r)
-                    and equivalent(automata.dfa_of(r, V), dfa))
     except KeyError as exc:
         raise CertificateError(f"missing certificate field {exc}") from exc
     except ResourceCapExceeded as exc:

@@ -314,6 +314,10 @@ def main(argv=None) -> int:
             automata.AlphabetMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the regex functions recurse over the syntax tree
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import automata, regex as rx
-from .automata import cardinality_class, CardinalityClass, Dfa
+from .automata import Dfa
+from .regex import LanguageClass, language_class
 
 
 class CometError(Exception):
@@ -20,12 +21,6 @@ class CometError(Exception):
 
 def _dfa(r: rx.Regex, alphabet) -> Dfa:
     return automata.dfa_of(r, alphabet)
-
-
-def _is_valid_middle(g: rx.Regex, alphabet) -> bool:
-    d = _dfa(g, alphabet)
-    return (cardinality_class(d) is not CardinalityClass.EMPTY
-            and not automata.equivalent(d, automata.epsilon_dfa(alphabet)))
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,8 @@ class CometDecomposition:
             extra = rx.letters_of(part) - set(self.alphabet)
             if extra:
                 raise rx.UnknownSymbolError(sorted(extra)[0])
-        if not _is_valid_middle(self.middle, self.alphabet):
+        if language_class(self.middle) in (LanguageClass.EMPTY,
+                                           LanguageClass.LAMBDA):
             raise CometError("middle language must not be empty or {λ}")
 
     @property
@@ -110,9 +106,9 @@ def decompose_first_tail(d: CometDecomposition) -> list[CometDecomposition]:
 def _finite_words(r: rx.Regex, alphabet) -> list[str]:
     """Explicit word list of a finite language; words in a finite
     language's minimal DFA are shorter than its state count."""
-    d = _dfa(r, alphabet)
-    if cardinality_class(d) is CardinalityClass.INFINITE:
+    if language_class(r) is LanguageClass.INFINITE:
         raise CometError(f"{rx.render(r)} is not finite")
+    d = _dfa(r, alphabet)
     return automata.enumerate_words(d, d.n_states, cap=max(32, d.n_states))
 
 
@@ -121,16 +117,14 @@ def finite_first_tail(d: CometDecomposition) -> tuple[list[str], rx.Regex, rx.Re
     explicit finite word set; verified against the input language."""
     if not rx.is_syntactically_union_free(d.first):
         raise CometError("first tail must be union-free")
-    if cardinality_class(d.language_dfa()) is CardinalityClass.EMPTY:
+    if language_class(d.regex) is LanguageClass.EMPTY:
         result = ([], rx.Sym(d.alphabet[0]), rx.EMPTY)
+    elif language_class(d.first) is not LanguageClass.INFINITE:
+        result = (_finite_words(d.first, d.alphabet), d.middle, d.last)
     else:
-        e_dfa = _dfa(d.first, d.alphabet)
-        if cardinality_class(e_dfa) is not CardinalityClass.INFINITE:
-            result = (_finite_words(d.first, d.alphabet), d.middle, d.last)
-        else:
-            e_left, e_mid, e_right = rx.star_decomposition(d.first)
-            new_last = rx.cat(e_right, rx.cat(rx.star(d.middle), d.last))
-            result = (_finite_words(e_left, d.alphabet), e_mid, new_last)
+        e_left, e_mid, e_right = rx.star_decomposition(d.first)
+        new_last = rx.cat(e_right, rx.cat(rx.star(d.middle), d.last))
+        result = (_finite_words(e_left, d.alphabet), e_mid, new_last)
     words, mid, last = result
     rebuilt = rx.cat(rx.finite_language_regex(words),
                      rx.cat(rx.star(mid), last))
@@ -148,8 +142,7 @@ def left_normal_form(d: CometDecomposition) -> NormalFormResult:
                                     mid, last))
     # drop empty components when something non-empty remains
     nonempty = [c for c in components
-                if cardinality_class(_dfa(c.regex(), d.alphabet))
-                is not CardinalityClass.EMPTY]
+                if language_class(c.regex()) is not LanguageClass.EMPTY]
     if nonempty:
         components = nonempty
 

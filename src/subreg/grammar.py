@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import automata, classify as cls, regex as rx
+from . import classify as cls, regex as rx
 from .classify import ClassifierConfig, DEFAULT_CONFIG, Family, Outcome
 from .language import LanguageHandle
 
@@ -230,8 +230,7 @@ def transform_to_lcom(g: ContextualGrammar) -> ContextualGrammar:
 
 
 def _selection_is_lambda(comp: SelectionComponent) -> bool:
-    return automata.equivalent(comp.selection.dfa,
-                               automata.epsilon_dfa(comp.selection.alphabet))
+    return rx.language_class(comp.selection.regex) is rx.LanguageClass.LAMBDA
 
 
 def eliminate_empty_word_selection(g: ContextualGrammar) -> ContextualGrammar:

@@ -152,62 +152,56 @@ def finite_language_regex(words) -> Regex:
 def parse_regex(text: str, alphabet: tuple[str, ...]) -> Regex:
     """Parse the concrete syntax into a tree; letters are checked against
     the declared alphabet."""
-    pos = 0
-
-    def peek():
-        return text[pos] if pos < len(text) else None
-
-    def parse_union():
-        nonlocal pos
-        node = parse_concat()
-        while peek() == "|":
-            pos += 1
-            node = Union(node, parse_concat())
-        return node
-
-    def parse_concat():
-        node = parse_piece()
-        while peek() is not None and peek() not in "|)":
-            node = Cat(node, parse_piece())
-        return node
-
-    def parse_piece():
-        nonlocal pos
-        node = parse_atom()
-        while peek() == "*":
-            pos += 1
-            node = Star(node)
-        return node
-
-    def parse_atom():
-        nonlocal pos
-        c = peek()
-        if c is None:
-            raise RegexSyntaxError("unexpected end of input", pos)
-        if c == "(":
-            pos += 1
-            node = parse_union()
-            if peek() != ")":
-                raise RegexSyntaxError("expected ')'", pos)
-            pos += 1
-            return node
-        if c == "0":
-            pos += 1
-            return EMPTY
-        if c == "1":
-            pos += 1
-            return EPSILON
-        if c in "|*)":
-            raise RegexSyntaxError(f"unexpected {c!r}", pos)
-        if c not in alphabet:
-            raise UnknownSymbolError(c)
-        pos += 1
-        return Sym(c)
-
-    node = parse_union()
+    node, pos = _parse_union(text, 0, alphabet)
     if pos != len(text):
         raise RegexSyntaxError(f"unexpected {text[pos]!r}", pos)
     return node
+
+
+# Recursive descent: each rule takes the text and a position and returns
+# the parsed node with the position after it.
+
+def _parse_union(text, pos, alphabet):
+    node, pos = _parse_concat(text, pos, alphabet)
+    while pos < len(text) and text[pos] == "|":
+        right, pos = _parse_concat(text, pos + 1, alphabet)
+        node = Union(node, right)
+    return node, pos
+
+
+def _parse_concat(text, pos, alphabet):
+    node, pos = _parse_piece(text, pos, alphabet)
+    while pos < len(text) and text[pos] not in "|)":
+        right, pos = _parse_piece(text, pos, alphabet)
+        node = Cat(node, right)
+    return node, pos
+
+
+def _parse_piece(text, pos, alphabet):
+    node, pos = _parse_atom(text, pos, alphabet)
+    while pos < len(text) and text[pos] == "*":
+        node, pos = Star(node), pos + 1
+    return node, pos
+
+
+def _parse_atom(text, pos, alphabet):
+    if pos >= len(text):
+        raise RegexSyntaxError("unexpected end of input", pos)
+    c = text[pos]
+    if c == "(":
+        node, pos = _parse_union(text, pos + 1, alphabet)
+        if pos >= len(text) or text[pos] != ")":
+            raise RegexSyntaxError("expected ')'", pos)
+        return node, pos + 1
+    if c == "0":
+        return EMPTY, pos + 1
+    if c == "1":
+        return EPSILON, pos + 1
+    if c in "|*)":
+        raise RegexSyntaxError(f"unexpected {c!r}", pos)
+    if c not in alphabet:
+        raise UnknownSymbolError(c)
+    return Sym(c), pos + 1
 
 
 _PREC_UNION, _PREC_CAT, _PREC_ATOM = 0, 1, 2
@@ -215,28 +209,29 @@ _PREC_UNION, _PREC_CAT, _PREC_ATOM = 0, 1, 2
 
 def render(r: Regex) -> str:
     """Deterministic pretty-printer with minimal parentheses."""
+    return _render(r, _PREC_UNION)
 
-    def go(node, prec):
-        if node == EPSILON:
-            return "1"
-        if isinstance(node, Empty):
-            return "0"
-        if isinstance(node, Sym):
-            return node.letter
-        if isinstance(node, Star):
-            return go(node.inner, _PREC_ATOM) + "*"
-        if isinstance(node, Cat):
-            # concatenation is associative, so a nested Cat on the right
-            # may print without parentheses; reparsing then matches the
-            # left-reassociated canonical form
-            s = go(node.left, _PREC_CAT) + go(node.right, _PREC_CAT)
-            return f"({s})" if prec > _PREC_CAT else s
-        if isinstance(node, Union):
-            s = go(node.left, _PREC_UNION) + "|" + go(node.right, _PREC_UNION)
-            return f"({s})" if prec > _PREC_UNION else s
-        raise TypeError(f"not a regex node: {node!r}")
 
-    return go(r, _PREC_UNION)
+def _render(node, prec):
+    if node == EPSILON:
+        return "1"
+    if isinstance(node, Empty):
+        return "0"
+    if isinstance(node, Sym):
+        return node.letter
+    if isinstance(node, Star):
+        return _render(node.inner, _PREC_ATOM) + "*"
+    if isinstance(node, Cat):
+        # concatenation is associative, so a nested Cat on the right may
+        # print without parentheses; reparsing then matches the
+        # left-reassociated canonical form
+        s = _render(node.left, _PREC_CAT) + _render(node.right, _PREC_CAT)
+        return f"({s})" if prec > _PREC_CAT else s
+    if isinstance(node, Union):
+        s = (_render(node.left, _PREC_UNION) + "|"
+             + _render(node.right, _PREC_UNION))
+        return f"({s})" if prec > _PREC_UNION else s
+    raise TypeError(f"not a regex node: {node!r}")
 
 
 def canonical(r: Regex) -> Regex:
@@ -249,16 +244,13 @@ def canonical(r: Regex) -> Regex:
         return r if inner == r.inner else Star(inner)
     if isinstance(r, (Cat, Union)):
         ctor = type(r)
-        parts = []
-
-        def flatten(node):
+        parts, stack = [], [r]
+        while stack:
+            node = stack.pop()
             if isinstance(node, ctor):
-                flatten(node.left)
-                flatten(node.right)
+                stack += (node.right, node.left)
             else:
                 parts.append(canonical(node))
-
-        flatten(r)
         node = parts[0]
         for p in parts[1:]:
             node = ctor(node, p)
@@ -279,15 +271,6 @@ def is_syntactically_union_free(r: Regex) -> bool:
     if isinstance(r, Star):
         return is_syntactically_union_free(r.inner)
     return True
-
-
-def construction_depth(r: Regex) -> int:
-    """Number of applied operations (Cat/Union/Star nodes)."""
-    if isinstance(r, (Cat, Union)):
-        return 1 + construction_depth(r.left) + construction_depth(r.right)
-    if isinstance(r, Star):
-        return 1 + construction_depth(r.inner)
-    return 0
 
 
 def letters_of(r: Regex) -> frozenset[str]:
@@ -350,46 +333,45 @@ def words_up_to(r: Regex, n: int) -> frozenset[str]:
 
     Independent of the automata pipeline; used as a semantic oracle.
     """
-    memo: dict[tuple[Regex, int], frozenset[str]] = {}
+    return _words(r, n, {})
 
-    def go(node, limit):
-        key = (node, limit)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Empty):
-            out = frozenset()
-        elif isinstance(node, Sym):
-            out = frozenset({node.letter}) if limit >= 1 else frozenset()
-        elif isinstance(node, Union):
-            out = go(node.left, limit) | go(node.right, limit)
-        elif isinstance(node, Cat):
-            left = go(node.left, limit)
-            acc = set()
-            for u in left:
-                rest = limit - len(u)
-                for v in go(node.right, rest):
-                    acc.add(u + v)
-            out = frozenset(acc)
-        elif isinstance(node, Star):
-            base = go(node.inner, limit) - {""}
-            acc = {""}
-            frontier = {""}
-            while frontier:
-                new = set()
-                for u in frontier:
-                    for v in base:
-                        w = u + v
-                        if len(w) <= limit and w not in acc:
-                            new.add(w)
-                acc |= new
-                frontier = new
-            out = frozenset(acc)
-        else:
-            raise TypeError(f"not a regex node: {node!r}")
-        memo[key] = out
-        return out
 
-    return go(r, n)
+def _words(node, limit, memo) -> frozenset[str]:
+    key = (node, limit)
+    if key in memo:
+        return memo[key]
+    if isinstance(node, Empty):
+        out = frozenset()
+    elif isinstance(node, Sym):
+        out = frozenset({node.letter}) if limit >= 1 else frozenset()
+    elif isinstance(node, Union):
+        out = _words(node.left, limit, memo) | _words(node.right, limit, memo)
+    elif isinstance(node, Cat):
+        left = _words(node.left, limit, memo)
+        acc = set()
+        for u in left:
+            rest = limit - len(u)
+            for v in _words(node.right, rest, memo):
+                acc.add(u + v)
+        out = frozenset(acc)
+    elif isinstance(node, Star):
+        base = _words(node.inner, limit, memo) - {""}
+        acc = {""}
+        frontier = {""}
+        while frontier:
+            new = set()
+            for u in frontier:
+                for v in base:
+                    w = u + v
+                    if len(w) <= limit and w not in acc:
+                        new.add(w)
+            acc |= new
+            frontier = new
+        out = frozenset(acc)
+    else:
+        raise TypeError(f"not a regex node: {node!r}")
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,28 +385,31 @@ def union_normal_form(r: Regex) -> list[Regex]:
     Uses distributivity of concatenation over union and the identity
     (R|S)* = (R*S*)*; structurally equal duplicates are dropped.
     """
-    def go(node) -> list[Regex]:
-        if isinstance(node, Union):
-            return go(node.left) + go(node.right)
-        if isinstance(node, Cat):
-            return [cat(l, rr) for l in go(node.left) for rr in go(node.right)]
-        if isinstance(node, Star):
-            comps = go(node.inner)
-            if not comps:
-                return [EPSILON]
-            if len(comps) == 1:
-                return [star(comps[0])]
-            body = star(comps[0])
-            for c in comps[1:]:
-                body = cat(body, star(c))
-            return [star(body)]
-        return [node]
-
     out: list[Regex] = []
-    for comp in go(r):
+    for comp in _union_components(r):
         if comp not in out:
             out.append(comp)
     return out
+
+
+def _union_components(node) -> list[Regex]:
+    if isinstance(node, Union):
+        return _union_components(node.left) + _union_components(node.right)
+    if isinstance(node, Cat):
+        rights = _union_components(node.right)
+        return [cat(l, rr) for l in _union_components(node.left)
+                for rr in rights]
+    if isinstance(node, Star):
+        comps = _union_components(node.inner)
+        if not comps:
+            return [EPSILON]
+        if len(comps) == 1:
+            return [star(comps[0])]
+        body = star(comps[0])
+        for c in comps[1:]:
+            body = cat(body, star(c))
+        return [star(body)]
+    return [node]
 
 
 class DecompositionError(RegexError):
@@ -443,16 +428,16 @@ def star_decomposition(r: Regex) -> tuple[Regex, Regex, Regex]:
         raise DecompositionError("regex contains a union operator")
     if language_class(r) is not LanguageClass.INFINITE:
         raise DecompositionError("language is finite")
+    return _star_split(r)
 
-    def split(node):
-        if isinstance(node, Star):
-            return (EPSILON, node.inner, EPSILON)
-        if isinstance(node, Cat):
-            if language_class(node.left) is LanguageClass.INFINITE:
-                l, m, rr = split(node.left)
-                return (l, m, cat(rr, node.right))
-            l, m, rr = split(node.right)
-            return (cat(node.left, l), m, rr)
-        raise DecompositionError(f"cannot split {render(node)}")
 
-    return split(r)
+def _star_split(node):
+    if isinstance(node, Star):
+        return (EPSILON, node.inner, EPSILON)
+    if isinstance(node, Cat):
+        if language_class(node.left) is LanguageClass.INFINITE:
+            l, m, rr = _star_split(node.left)
+            return (l, m, cat(rr, node.right))
+        l, m, rr = _star_split(node.right)
+        return (cat(node.left, l), m, rr)
+    raise DecompositionError(f"cannot split {render(node)}")

@@ -16,7 +16,8 @@ from subreg import automata as au, classify as cl, comets, grammar as gr, \
 from subreg.automata import Dfa
 from subreg.classify import DEFAULT_CONFIG, Family, Outcome
 from subreg.language import LanguageHandle
-from test_golden import read_golden, twocom_line
+from test_golden import comet_sample, read_golden, regex_pool, \
+    twocom_line
 
 AB = ("a", "b")
 
@@ -96,31 +97,11 @@ def test_criterion_3_witness_battery():
                     (text, name)
 
 
-def _regex_pool(max_nodes, alphabet=AB):
-    atoms = [rx.EMPTY] + [rx.Sym(a) for a in alphabet]
-    by_size = {1: list(atoms)}
-    for n in range(2, max_nodes + 1):
-        out = [rx.Star(r) for r in by_size[n - 1]]
-        for i in range(1, n - 1):
-            for left in by_size[i]:
-                for right in by_size[n - 1 - i]:
-                    out.append(rx.Cat(left, right))
-                    out.append(rx.Union(left, right))
-        by_size[n] = out
-    return by_size
-
-
 @criterion(4)
 def test_criterion_4_left_normal_form_soundness():
-    rng = random.Random(20240812)
-    pool = [r for lst in _regex_pool(6).values() for r in lst]
-    checked = 0
-    while checked < 1000:
-        e, g, h = (rng.choice(pool) for _ in range(3))
-        try:
-            d = comets.CometDecomposition(AB, e, g, h)
-        except comets.CometError:
-            continue  # drawn middle was empty or {λ}; not a decomposition
+    sample = comet_sample()
+    assert len(sample) == 1000
+    for d in sample:
         res = comets.left_normal_form(d)
         assert res.verified, d.to_json()
         union = rx.EMPTY
@@ -132,8 +113,6 @@ def test_criterion_4_left_normal_form_soundness():
             assert not au.equivalent(mid, au.epsilon_dfa(AB))
             union = rx.union(union, c.regex())
         assert au.equivalent(au.dfa_of(union, AB), d.language_dfa())
-        checked += 1
-    assert checked == 1000
 
 
 @criterion(5)
@@ -149,7 +128,7 @@ def test_criterion_5_union_normal_form_soundness():
             rx.render(r)
 
     # exhaustive over all regexes with at most 8 nodes
-    pool = _regex_pool(8)
+    pool = regex_pool(8)
     for lst in pool.values():
         for r in lst:
             check(r)

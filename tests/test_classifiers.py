@@ -319,6 +319,36 @@ def _check_ord_against_oracle(dfa: Dfa) -> Outcome:
     return v.outcome
 
 
+def _definite_window_by_words(dfa: Dfa, most: int):
+    """Smallest k <= most such that u x and v x agree on L for all words u,
+    v of length < n (they reach every state) and every x of length k, by
+    membership tests alone; None if there is none."""
+    heads = list(au.all_words(dfa.alphabet, dfa.n_states - 1))
+    for k in range(most + 1):
+        tails = list(itertools.product(dfa.alphabet, repeat=k))
+        if all(len({dfa.accepts(u + "".join(x)) for u in heads}) == 1
+               for x in tails):
+            return k
+    return None
+
+
+class TestDefiniteOracle:
+    def test_every_minimal_dfa_up_to_three_states(self):
+        dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
+        yes = 0
+        for dfa in dfas:
+            h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
+            v = cl.classify(h, Family.DEF)
+            window = _definite_window_by_words(dfa, 6)
+            assert (v.outcome is Outcome.YES) == (window is not None), \
+                au.dfa_to_text(dfa)
+            if v.outcome is Outcome.YES:
+                yes += 1
+                assert v.certificate["window"] == window
+                assert cl.verify_certificate(h, Family.DEF, v.certificate)
+        assert (len(dfas), yes) == (1054, 56)
+
+
 class TestOrderedOracle:
     def test_every_minimal_dfa_up_to_three_states(self):
         dfas = set()

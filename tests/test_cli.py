@@ -71,6 +71,14 @@ class TestClassify:
         assert code == 2 and out == ""
         assert flag in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["a" * 2000,
+                                      "(" * 3000 + "a" + ")" * 3000],
+                             ids=["long_word", "deep_parentheses"])
+    def test_deep_nesting_is_input_error(self, capsys, text):
+        code, out, err = run(capsys, "classify", text, "--alphabet", "a")
+        assert code == 2 and out == ""
+        assert err == "error: input nested too deeply\n"
+
 
 class TestNf2com:
     def test_left_normal_form(self, capsys):

@@ -4,19 +4,29 @@
 registry language and every fixture selection at 2COM bounds 1 and 2.
 `golden/twocom_corpus.jsonl` holds the 2COM verdict of each language of
 `random_corpus(1000)` under `CORPUS_CONFIG`; criterion 9 checks it inside
-its own corpus pass.  Both are one JSON object per line.  Rewrite them
-with `PYTHONPATH=src python tests/test_golden.py` only for a change that
-is meant to alter a verdict.
+its own corpus pass.  `golden/nf2com.jsonl` holds the left and right
+normal forms of the 1000 criterion-4 decompositions, and
+`golden/grammar.jsonl` the exit code and JSON output of every `grammar`
+subcommand on every fixture.  All are one JSON object per line.  Rewrite
+them with `PYTHONPATH=src python tests/test_golden.py` only for a change
+that is meant to alter an output.
 """
 
+import contextlib
+import io
+import itertools
 import json
+import random
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from subreg import classify as cl, grammar as gr, hierarchy as hi, regex as rx
+from subreg import classify as cl, cli, comets, grammar as gr, \
+    hierarchy as hi, regex as rx
 from subreg.classify import DEFAULT_CONFIG, Family
 
 GOLDEN = Path(__file__).parent / "golden"
+AB = ("a", "b")
 
 
 def line(obj) -> str:
@@ -55,14 +65,90 @@ def classify_all_lines() -> list[str]:
     return out
 
 
+def regex_pool(max_nodes, alphabet=AB):
+    """Every regex tree with at most `max_nodes` nodes, by node count."""
+    atoms = [rx.EMPTY] + [rx.Sym(a) for a in alphabet]
+    by_size = {1: list(atoms)}
+    for n in range(2, max_nodes + 1):
+        out = [rx.Star(r) for r in by_size[n - 1]]
+        for i in range(1, n - 1):
+            for left in by_size[i]:
+                for right in by_size[n - 1 - i]:
+                    out.append(rx.Cat(left, right))
+                    out.append(rx.Union(left, right))
+        by_size[n] = out
+    return by_size
+
+
+def comet_sample(count=1000):
+    """The criterion-4 decompositions: E, G and H drawn from the regexes
+    of at most 6 nodes (seed 20240812), skipping a draw whose middle is
+    empty or {λ}."""
+    rng = random.Random(20240812)
+    pool = [r for lst in regex_pool(6).values() for r in lst]
+    out = []
+    while len(out) < count:
+        e, g, h = (rng.choice(pool) for _ in range(3))
+        try:
+            out.append(comets.CometDecomposition(AB, e, g, h))
+        except comets.CometError:
+            continue
+    return out
+
+
+def nf2com_lines() -> list[str]:
+    return [line({"input": d.to_json(),
+                  "left": comets.left_normal_form(d).to_json(),
+                  "right": comets.right_normal_form(d).to_json()})
+            for d in comet_sample()]
+
+
+def _grammar_commands(alphabet):
+    words = ["ε", *("".join(w) for n in (1, 2)
+                    for w in itertools.product(alphabet, repeat=n)),
+             "abab", "cabc"]
+    return [["validate"], ["enum", "-n", "6"],
+            *(["member", w] for w in words), ["classify"],
+            *(["transform", kind]
+              for kind in ("rcom", "lcom", "elimlambda", "def2sydef"))]
+
+
+def grammar_lines(directory) -> list[str]:
+    out = []
+    for name, g in gr.fixtures().items():
+        path = Path(directory) / f"{name}.json"
+        path.write_text(json.dumps(g.to_json()))
+        for command in _grammar_commands(g.alphabet):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["grammar", command[0], str(path),
+                                 *command[1:], "--format", "json"])
+            out.append(line({"fixture": name, "command": command,
+                             "exit": code, "stdout": stdout.getvalue()}))
+    return out
+
+
 def test_classify_all_matches_golden():
     assert classify_all_lines() == read_golden("classify_all.jsonl")
+
+
+def test_nf2com_matches_golden():
+    assert nf2com_lines() == read_golden("nf2com.jsonl")
+
+
+def test_grammar_matches_golden(tmp_path):
+    assert grammar_lines(tmp_path) == read_golden("grammar.jsonl")
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "classify_all.jsonl").write_text(
         "\n".join(classify_all_lines()) + "\n")
+    (GOLDEN / "nf2com.jsonl").write_text("\n".join(nf2com_lines()) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "grammar.jsonl").write_text(
+            "\n".join(grammar_lines(tmp)) + "\n")
     corpus = [twocom_line(h, cl.classify_all(h, hi.CORPUS_CONFIG))
               for h in hi.random_corpus(1000)]
     (GOLDEN / "twocom_corpus.jsonl").write_text("\n".join(corpus) + "\n")

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,10 +95,6 @@ class TestHelpers:
             with pytest.raises(rx.AlphabetError):
                 rx.make_alphabet(bad)
 
-    def test_construction_depth(self):
-        assert rx.construction_depth(rx.parse_regex("a", AB)) == 0
-        assert rx.construction_depth(rx.parse_regex("(a|b)*", AB)) == 2
-
     def test_letters_of(self):
         assert rx.letters_of(rx.parse_regex("a*b|1", AB)) == frozenset("ab")
 
@@ -117,6 +115,21 @@ class TestUnionNormalForm:
     def test_union_free_input_is_singleton(self):
         r = rx.parse_regex("a*ba*", AB)
         assert rx.union_normal_form(r) == [r]
+
+
+def test_calls_leave_no_reference_cycle():
+    r = rx.parse_regex("(a|b)*(ab|1)*b", AB)
+    gc.disable()
+    try:
+        gc.collect()
+        rx.parse_regex(rx.render(r), AB)
+        rx.union_normal_form(r)
+        rx.star_decomposition(rx.parse_regex("ab*(ab)*", AB))
+        rx.words_up_to(r, 3)
+        rx.canonical(r)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestStarDecomposition:
