@@ -245,10 +245,29 @@ def minimize(dfa: Dfa) -> Dfa:
     final_blocks = set()
     for b, i in bfs_id.items():
         rep = reps[b]
-        rows[i] = tuple(bfs_id[block[trans[rep][j]]] for j in range(len(dfa.alphabet)))
+        rows[i] = _shared(tuple(bfs_id[block[trans[rep][j]]]
+                                for j in range(len(dfa.alphabet))))
         if rep in finals:
             final_blocks.add(i)
-    return Dfa(dfa.alphabet, tuple(rows), 0, frozenset(final_blocks))
+    return Dfa(dfa.alphabet, tuple(rows), 0, _shared(frozenset(final_blocks)))
+
+
+# Minimal DFAs share equal rows and final sets, as interned strings do: a
+# language handle keeps its DFA, and few distinct rows occur (624 over the
+# 5000 languages of `hierarchy.random_corpus(5000)`).  The table stops
+# growing at _SHARED_CAP entries.
+_SHARED: dict = {}
+_SHARED_CAP = 1 << 14
+
+
+def _shared(value):
+    """An object equal to `value`: the first one the table holds, if any."""
+    got = _SHARED.get(value)
+    if got is not None:
+        return got
+    if len(_SHARED) < _SHARED_CAP:
+        _SHARED[value] = value
+    return value
 
 
 def determinize_minimize(nfa: Nfa) -> Dfa:

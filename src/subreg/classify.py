@@ -1,10 +1,12 @@
 """Membership deciders for the subregular language families.
 
 Each decider evaluates a language relative to its declared alphabet and
-returns a three-valued verdict.  Families without a known complete
-decision procedure (SYDEF, 2COM, UF, and ORD beyond its bounded split
-search) may answer Unknown; their Yes answers always carry a certificate
-that re-verifies against the defining equation.
+returns a three-valued verdict.  SYDEF and 2COM are decided exactly by a
+search over the closed state sets of the minimal DFA (`_comet_set`).
+UF, and ORD beyond its bounded split search, have no complete decision
+procedure here and may answer Unknown, as may any decider whose search
+exceeds a resource cap.  Yes answers carry a certificate that
+re-verifies against the defining equation.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .automata import (
     dfa_to_regex,
     enumerate_words,
     equivalent,
-    intersect,
-    left_word_quotient,
     minimize,
     reachable,
     residual,
@@ -101,12 +101,11 @@ class ClassifierConfig:
     # branching decisions (a move's choice of copy, or the bit of a pair
     # component) over the whole order search on one language
     ord_search_budget: int = 60000
-    twocom_bound: int = 2
-    twocom_subset_cap: int = 4096
-    sydef_bound: int = 2
-    sydef_state_cap: int = 4096
-    def_word_cap: int = 1 << 16
-    monoid_cap: int = 10 ** 6
+    # most closed state sets, images of one set, and states of each subset
+    # construction in the SYDEF and 2COM search
+    comet_state_cap: int = 4096
+    def_word_cap: int = 1 << 16      # most words a DEF certificate lists
+    monoid_cap: int = 10 ** 6        # most transition-monoid elements
 
 
 DEFAULT_CONFIG = ClassifierConfig()
@@ -602,7 +601,7 @@ def _classify_ps(l, config):
 def _classify_star(l, config):
     starred = determinize(star_nfa(l.dfa))
     if equivalent(l.dfa, starred):
-        return _yes(Family.STAR, {"H": rx.render(l.regex)})
+        return _yes(Family.STAR, {"H": l.text})
     return _no(Family.STAR)
 
 
@@ -633,8 +632,8 @@ def _classify_rcom(l, config):
     g = _stabilizer_word(l.dfa)
     if g is None:
         return _no(Family.RCOM)
-    return _yes(Family.RCOM, {"g": g, "G": rx.render(rx.word_regex(g)),
-                              "H": rx.render(l.regex)})
+    # render(word_regex(g)) is g itself
+    return _yes(Family.RCOM, {"g": g, "G": g, "H": l.text})
 
 
 def _classify_lcom(l, config):
@@ -643,30 +642,141 @@ def _classify_lcom(l, config):
     if g is None:
         return _no(Family.LCOM)
     g = g[::-1]  # orient for L = E G^*: L.g <= L
-    return _yes(Family.LCOM, {"g": g, "E": rx.render(l.regex),
-                              "G": rx.render(rx.word_regex(g))})
+    return _yes(Family.LCOM, {"g": g, "E": l.text, "G": g})
 
 
-def _prefixes_of_language(dfa: Dfa, bound: int):
-    """Words of length <= bound that are prefixes of some word in L."""
-    useful = automata.useful_states(dfa)
-    out = []
-    frontier = [("", dfa.start)]
-    for _ in range(bound + 1):
+def _image(states: int, column) -> int:
+    """The bitmask of the states that the states in `states` move to."""
+    out = 0
+    for q, t in enumerate(column):
+        if states >> q & 1:
+            out |= 1 << t
+    return out
+
+
+def _closed_state_sets(dfa: Dfa, columns, cap: int) -> list[int]:
+    """The closed state sets of a minimal DFA as bitmasks, ascending.
+
+    For P a set of states let K_P be the intersection of the residuals
+    L_p, p in P; P is closed when P = {q : K_P <= L_q}.  The closed sets
+    are the intersections of the sets S_w = {q : w in L_q} (Q for none),
+    the Galois closure behind Ganter's NextClosure.  S_w is {q : t(q) in F}
+    for the transition-monoid element t of w, and S_aw is the preimage of
+    S_w under a, so the sets S_w are found from F by preimages alone.
+    """
+    n = dfa.n_states
+    finals = sum(1 << q for q in dfa.finals)
+    family = {finals}
+    queue = [finals]
+    for s in queue:  # grows while it is read
+        for column in columns:
+            pre = sum(1 << q for q, t in enumerate(column) if s >> t & 1)
+            if pre not in family:
+                if len(family) >= cap:
+                    raise ResourceCapExceeded
+                family.add(pre)
+                queue.append(pre)
+    closed = {(1 << n) - 1}
+    for s in family:
+        closed |= {c & s for c in closed}
+        if len(closed) > cap:
+            raise ResourceCapExceeded
+    return sorted(closed)
+
+
+def _stable_word(dfa: Dfa, columns, states: int, cap: int):
+    """Shortest non-empty word g, length-lex first, with P.g <= P for the
+    state set P = `states`, or None; a breadth-first search over the
+    images of P."""
+    seen = {states}
+    frontier = [("", states)]
+    while frontier:
         nxt = []
         for word, s in frontier:
-            if s in useful:
-                out.append(word)
-                for i, a in enumerate(dfa.alphabet):
-                    nxt.append((word + a, dfa.transitions[s][i]))
+            for a, column in zip(dfa.alphabet, columns):
+                t = _image(s, column)
+                if not t & ~states:
+                    return word + a
+                if t not in seen:
+                    if len(seen) >= cap:
+                        raise ResourceCapExceeded
+                    seen.add(t)
+                    nxt.append((word + a, t))
         frontier = nxt
-    return [w for w in out if len(w) <= bound]
+    return None
+
+
+def _through(dfa: Dfa, states: int) -> bool:
+    """Whether every accepted run visits the state set `states`, which
+    L <= E_P K_P requires."""
+    if states >> dfa.start & 1:
+        return True
+    seen = {dfa.start}
+    stack = [dfa.start]
+    while stack:
+        s = stack.pop()
+        if s in dfa.finals:
+            return False
+        for t in dfa.transitions[s]:
+            if t not in seen and not states >> t & 1:
+                seen.add(t)
+                stack.append(t)
+    return True
+
+
+def _comet_set(dfa: Dfa, cap: int, every_letter: bool):
+    """(P, g, K) for the first closed state set P that is stable and covers
+    L, with K the DFA of K_P; None when no closed set is both.
+
+    With E_P = {u : delta(u) in P}, always E_P K_P <= L; P covers L when
+    L <= E_P K_P.  If P.g <= P for a non-empty word g, then g K_P <= K_P,
+    so a covering P gives L = E_P g* K_P.  Conversely, if L = E G* H and g
+    is a non-empty word of G, the g-orbit P of the states E reaches is
+    stable and covers, because G* H <= K_P; its closure keeps both
+    properties.  SYDEF (G = V*) is the case with P stable under every
+    letter (g is None).  The closed sets, the images of P and each subset
+    construction are bounded by `cap`.
+    """
+    n = dfa.n_states
+    columns = list(zip(*dfa.transitions))
+    # a covering P of a non-empty L holds no state with an empty residual;
+    # for an empty L the empty set comes first and covers
+    dead = sum(1 << q for q in set(range(n)) - automata.useful_states(dfa))
+    rejects = to_nfa(complement(dfa))
+    try:
+        for p in _closed_state_sets(dfa, columns, cap):
+            if p & dead or not _through(dfa, p):
+                continue
+            if every_letter:
+                g = None
+                if any(_image(p, column) & ~p for column in columns):
+                    continue
+            else:
+                g = _stable_word(dfa, columns, p, cap)
+                if g is None:
+                    continue
+            members = frozenset(q for q in range(n) if p >> q & 1)
+            # K_P, the complement of what some state of P rejects
+            rejects.initials = members
+            k_dfa = complement(determinize(rejects, cap))
+            e_dfa = Dfa(dfa.alphabet, dfa.transitions, dfa.start, members)
+            if subset(dfa, determinize(concat_nfa(e_dfa, k_dfa), cap)):
+                return members, g, k_dfa
+    except ResourceCapExceeded:
+        raise ResourceCapExceeded(f"comet state cap {cap} exceeded") from None
+    return None
+
+
+def _regex_text(l, dfa: Dfa) -> str:
+    """Regex text for L(dfa): L's own text when the languages are equal,
+    since state elimination can yield a regex far longer than L's."""
+    dfa = minimize(dfa)
+    return l.text if dfa == l.dfa else rx.render(dfa_to_regex(dfa))
 
 
 def _classify_twocom(l, config):
-    """E G^* H: exact for empty and finite L, a one-sided comet's
-    certificate when there is one, else a bounded search for a finite E
-    of short prefixes and a single-word G."""
+    """E G* H: exact for empty and finite L, a one-sided comet's
+    certificate when there is one, else the closed state set search."""
     dfa = l.dfa
     card = cardinality_class(dfa)
     if card is CardinalityClass.EMPTY:
@@ -676,37 +786,19 @@ def _classify_twocom(l, config):
     r = _classify_rcom(l, config)
     if r.outcome is Outcome.YES:
         return _yes(Family.TWOCOM, {"E": "1", "G": r.certificate["g"],
-                                    "H": rx.render(l.regex)})
+                                    "H": l.text})
     lv = _classify_lcom(l, config)
     if lv.outcome is Outcome.YES:
-        return _yes(Family.TWOCOM, {"E": rx.render(l.regex),
-                                    "G": lv.certificate["g"], "H": "1"})
-    bound = config.twocom_bound
-    prefixes = _prefixes_of_language(dfa, bound)
-    tried = 0
-    for size in range(1, len(prefixes) + 1):
-        for e_set in itertools.combinations(prefixes, size):
-            tried += 1
-            if tried > config.twocom_subset_cap:
-                return _unknown(Family.TWOCOM, "subset cap exhausted")
-            # H = M, the largest language with E.M <= L
-            mid = left_word_quotient(dfa, e_set[0])
-            for e in e_set[1:]:
-                mid = intersect(mid, left_word_quotient(dfa, e))
-            mid = minimize(mid)
-            e_nfa = automata.compile_regex(rx.finite_language_regex(e_set),
-                                           l.alphabet)
-            if not equivalent(determinize(concat_nfa(e_nfa, mid)), dfa):
-                continue
-            # G = g with g.M <= M, so E g^* M = E M = L
-            g = _stabilizer_word(mid)
-            if g is not None and len(g) <= bound:
-                return _yes(Family.TWOCOM, {
-                    "E": list(e_set),
-                    "G": g,
-                    "H": rx.render(dfa_to_regex(mid)),
-                })
-    return _unknown(Family.TWOCOM, f"no certificate within bound {bound}")
+        return _yes(Family.TWOCOM, {"E": l.text, "G": lv.certificate["g"],
+                                    "H": "1"})
+    found = _comet_set(dfa, config.comet_state_cap, every_letter=False)
+    if found is None:
+        return _no(Family.TWOCOM, "no closed state set stable under a "
+                                  "non-empty word covers L")
+    members, g, k_dfa = found
+    e_dfa = Dfa(dfa.alphabet, dfa.transitions, dfa.start, members)
+    return _yes(Family.TWOCOM, {"E": _regex_text(l, e_dfa), "G": g,
+                                "H": _regex_text(l, k_dfa)})
 
 
 def _classify_sydef(l, config):
@@ -716,32 +808,24 @@ def _classify_sydef(l, config):
         return _no(Family.SYDEF, "E V* H is either empty or infinite")
     if _classify_ps(l, config).outcome is Outcome.NO:
         return _no(Family.SYDEF, "not power-separating")
-    universe = universe_dfa(l.alphabet)
-    rejects = to_nfa(complement(dfa))
-    for e in automata.all_words(l.alphabet, config.sydef_bound):
-        # H = {h : every state reachable from delta(e) accepts h}, the
-        # complement of what some such state rejects
-        rejects.initials = frozenset(reachable(residual(dfa, dfa.run(e))))
-        try:
-            h_dfa = complement(determinize(rejects, config.sydef_state_cap))
-        except ResourceCapExceeded:
-            continue
-        lhs = determinize(concat_nfa(
-            concat_nfa(automata.compile_regex(rx.word_regex(e), l.alphabet),
-                       universe),
-            h_dfa))
-        if equivalent(lhs, dfa):
-            h_regex = dfa_to_regex(minimize(h_dfa))
-            e_regex = rx.word_regex(e)
-            return _yes(Family.SYDEF, {"E": rx.render(e_regex),
-                                       "H": rx.render(h_regex)})
-    return _unknown(Family.SYDEF,
-                    f"no single-word E within bound {config.sydef_bound}")
+    found = _comet_set(dfa, config.comet_state_cap, every_letter=True)
+    if found is None:
+        return _no(Family.SYDEF, "no closed state set stable under every "
+                                 "letter covers L")
+    members, _, k_dfa = found
+    # P is closed under every letter, so E_P = E V* for E the words that
+    # reach P first; that E is the certificate's
+    sink = (dfa.n_states,) * len(dfa.alphabet)
+    rows = [sink if s in members else row
+            for s, row in enumerate(dfa.transitions)]
+    first = Dfa(dfa.alphabet, (*rows, sink), dfa.start, members)
+    return _yes(Family.SYDEF, {"E": _regex_text(l, first),
+                               "H": _regex_text(l, k_dfa)})
 
 
 def _classify_uf(l, config):
     if rx.is_syntactically_union_free(l.regex):
-        return _yes(Family.UF, {"regex": rx.render(l.regex)})
+        return _yes(Family.UF, {"regex": l.text})
     components = rx.union_normal_form(l.regex)
     if len(components) == 1:
         return _yes(Family.UF, {"regex": rx.render(components[0])})
@@ -871,6 +955,8 @@ def _comet_parts(l: LanguageHandle, family: Family, cert: dict):
     if family is Family.TWOCOM:
         return rx.EMPTY, lang("E"), lang("G"), lang("H")
     if family is Family.UF:
+        if not isinstance(cert["regex"], str):
+            raise CertificateError("UF regex must be text")
         return rx.EMPTY, rx.parse_regex(cert["regex"], V), rx.EMPTY, one
     return None
 
@@ -941,6 +1027,8 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
             return True
     except KeyError as exc:
         raise CertificateError(f"missing certificate field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise CertificateError(f"ill-typed certificate field: {exc}") from exc
     except ResourceCapExceeded as exc:
         raise CertificateError(f"cannot check certificate: {exc}") from exc
     raise CertificateError(f"family {family} carries no certificate")

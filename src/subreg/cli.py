@@ -50,17 +50,13 @@ def _language(arg: str, alphabet: str) -> LanguageHandle:
 
 
 def _config(args, base=DEFAULT_CONFIG):
-    """`base` with the --bound and --cap-monoid overrides applied."""
-    kw = {}
-    for flag, value, names in (
-            ("--bound", args.bound, ("twocom_bound", "sydef_bound")),
-            ("--cap-monoid", args.cap_monoid, ("monoid_cap",))):
-        if value is None:
-            continue
-        if value < 1:
-            raise InputError(f"{flag} must be at least 1, got {value}")
-        kw.update(dict.fromkeys(names, value))
-    return dataclasses.replace(base, **kw)
+    """`base` with the --cap-monoid override applied."""
+    value = args.cap_monoid
+    if value is None:
+        return base
+    if value < 1:
+        raise InputError(f"--cap-monoid must be at least 1, got {value}")
+    return dataclasses.replace(base, monoid_cap=value)
 
 
 def cmd_classify(args) -> int:
@@ -245,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--bound", type=int, default=None,
-                       help="search bound for the bounded deciders")
         p.add_argument("--cap-monoid", type=int, default=None)
 
     p = sub.add_parser("classify", help="classify a regex into every family")

@@ -399,37 +399,47 @@ def verify_witnesses(entries=None,
 # Random corpus and edge consistency
 
 
-def _draw(rng: random.Random, letters, depth: int) -> rx.Regex:
-    """A random regex whose leaves are the objects in `letters`."""
+def _draw(rng: random.Random, letters, depth: int, shared: dict) -> rx.Regex:
+    """A random regex whose leaves are the objects in `letters`.
+
+    Equal subtrees are built once: `shared` maps a node's class and the
+    ids of its children, which it keeps alive, to the node.
+    """
     if depth <= 0:
         roll = rng.random()
         if roll < 0.08:
             return rx.EMPTY
         return rng.choice(letters)
     roll = rng.random()
-    if roll < 0.30:
-        return rx.Union(_draw(rng, letters, depth - 1),
-                        _draw(rng, letters, depth - 1))
-    if roll < 0.62:
-        return rx.Cat(_draw(rng, letters, depth - 1),
-                      _draw(rng, letters, depth - 1))
-    if roll < 0.85:
-        return rx.Star(_draw(rng, letters, depth - 1))
-    return rng.choice(letters)
+    if roll >= 0.85:
+        return rng.choice(letters)
+    if roll >= 0.62:
+        kind, right = rx.Star, None
+        left = _draw(rng, letters, depth - 1, shared)
+    else:
+        left = _draw(rng, letters, depth - 1, shared)
+        right = _draw(rng, letters, depth - 1, shared)
+        kind = rx.Union if roll < 0.30 else rx.Cat
+    key = (kind, id(left), id(right))
+    node = shared.get(key)
+    if node is None:
+        node = shared[key] = kind(left) if right is None else kind(left, right)
+    return node
 
 
 def random_regex(rng: random.Random, alphabet, depth: int) -> rx.Regex:
-    return _draw(rng, [rx.Sym(a) for a in alphabet], depth)
+    return _draw(rng, [rx.Sym(a) for a in alphabet], depth, {})
 
 
 def random_corpus(count: int = 1000, seed: int = 20240811,
                   alphabet=("a", "b"), depth: int = 4) -> list[LanguageHandle]:
     rng = random.Random(seed)
     letters = [rx.Sym(a) for a in alphabet]  # one leaf object per letter
+    shared = {}
     seen = set()
     out = []
     while len(out) < count:
-        r = _draw(rng, letters, depth)
+        r = _draw(rng, letters, depth, shared)
         handle = LanguageHandle(tuple(alphabet), r, check=False)
         if handle.regex in seen:
             continue
@@ -438,8 +448,7 @@ def random_corpus(count: int = 1000, seed: int = 20240811,
     return out
 
 
-CORPUS_CONFIG = replace(DEFAULT_CONFIG, ord_search_budget=8000,
-                        twocom_subset_cap=400)
+CORPUS_CONFIG = replace(DEFAULT_CONFIG, ord_search_budget=8000)
 
 
 def edge_consistency_check(graph: HierarchyGraph = FIG1, corpus=None,

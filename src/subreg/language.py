@@ -12,7 +12,7 @@ from . import automata, regex as rx
 class LanguageHandle:
     """An immutable regular language over a declared alphabet."""
 
-    __slots__ = ("alphabet", "regex", "_dfa")
+    __slots__ = ("alphabet", "regex", "_dfa", "_text")
 
     def __init__(self, alphabet, regex_ast: rx.Regex, check: bool = True):
         self.alphabet = rx.make_alphabet(alphabet)
@@ -21,6 +21,7 @@ class LanguageHandle:
             raise rx.UnknownSymbolError(sorted(extra)[0])
         self.regex = regex_ast
         self._dfa = None
+        self._text = None
         if check:
             self._cross_check()
 
@@ -34,6 +35,14 @@ class LanguageHandle:
         if self._dfa is None:
             self._dfa = automata.dfa_of(self.regex, self.alphabet)
         return self._dfa
+
+    @property
+    def text(self) -> str:
+        """The rendered regex, made once and shared by every certificate
+        that quotes it."""
+        if self._text is None:
+            self._text = rx.render(self.regex)
+        return self._text
 
     def _cross_check(self, depth: int = 4) -> None:
         # the cached DFA must agree with the direct set semantics of the regex

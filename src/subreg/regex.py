@@ -51,7 +51,9 @@ def make_alphabet(letters) -> tuple[str, ...]:
             seen.append(a)
     if not seen:
         raise AlphabetError("alphabet must be non-empty")
-    return tuple(sorted(seen))
+    out = tuple(sorted(seen))
+    # an already normal tuple is returned itself, so handles share it
+    return letters if letters == out else out
 
 
 class Regex:

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from subreg import automata as au, classify as cl
 from subreg.automata import Dfa
 from subreg.classify import DEFAULT_CONFIG, Family, Outcome
 from subreg.language import LanguageHandle
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def lang(text, alphabet="ab"):
@@ -108,6 +112,15 @@ class TestCertificates:
         with pytest.raises(cl.CertificateError):
             cl.verify_certificate(h, Family.COMB, {"X": ["z"]})
 
+    @pytest.mark.parametrize("family,cert", [
+        (Family.NC, {"bound": None}),
+        (Family.ORD, {"order": [0, 1], "automaton": 3}),
+        (Family.UF, {"regex": ["a"]}),
+    ], ids=["NC", "ORD", "UF"])
+    def test_ill_typed_field_raises(self, family, cert):
+        with pytest.raises(cl.CertificateError):
+            cl.verify_certificate(lang("(ab)*"), family, cert)
+
     def test_trivial_middle_rejected(self):
         h = lang("1", "a")
         assert not cl.verify_certificate(
@@ -131,28 +144,39 @@ class TestCertificates:
 
 
 class TestBoundedDeciders:
-    # neither a left nor a right comet; E = {c} needs prefixes of length 1
-    # and G = ab a word of length 2
+    """SYDEF and 2COM search the closed state sets of the minimal DFA; no
+    bound limits them, and only `comet_state_cap` answers unknown."""
+
+    # neither a left nor a right comet: E = c(ab)*, G = ab, H = (ab)*c
     def test_2com_finds_decomposition(self):
         h = lang("c(ab)*c", "abc")
-        config = dataclasses.replace(DEFAULT_CONFIG, twocom_bound=2)
-        v = cl.classify(h, Family.TWOCOM, config)
+        v = cl.classify(h, Family.TWOCOM)
         assert v.outcome is Outcome.YES
-        assert v.certificate == {"E": ["c"], "G": "ab", "H": "(ab)*c"}
+        assert v.certificate == {"E": "c(ab)*", "G": "ab", "H": "(ab)*c"}
         assert cl.verify_certificate(h, Family.TWOCOM, v.certificate)
 
-    def test_2com_unknown_when_bound_too_small(self):
-        h = lang("c(ab)*c", "abc")
-        config = dataclasses.replace(DEFAULT_CONFIG, twocom_bound=1)
-        v = cl.classify(h, Family.TWOCOM, config)
-        assert v.outcome is Outcome.UNKNOWN
-        assert v.reason == "no certificate within bound 1"
+    def test_2com_no_gives_the_exact_reason(self):
+        v = cl.classify(lang("a*b|b*a"), Family.TWOCOM)
+        assert v.outcome is Outcome.NO
+        assert v.reason == ("no closed state set stable under a non-empty "
+                            "word covers L")
+        v = cl.classify(lang("c(ab)*c", "abc"), Family.SYDEF)
+        assert v.outcome is Outcome.NO
+        assert v.reason == ("no closed state set stable under every letter "
+                            "covers L")
+
+    def test_certificate_quotes_l(self):
+        # a part equal to L is L's own text; rendering the state-elimination
+        # regex of this 64-state DFA would take minutes
+        text = "(a|b)*a" + "(a|b)" * 5
+        v = cl.classify(lang(text), Family.SYDEF)
+        assert v.certificate == {"E": "1", "H": text}
 
     def test_sydef_unknown_only_when_allowed(self):
         # ORD resource caps aside, Unknown may appear only for the
         # families without an exact decision procedure
-        allowed = {Family.SYDEF, Family.TWOCOM, Family.UF, Family.ORD}
-        for text in ("(ab)*", "a*b", "(a|b)*b", "1|a"):
+        allowed = {Family.UF, Family.ORD}
+        for text in ("(ab)*", "a*b", "(a|b)*b", "1|a", "a*b|b*a"):
             for f in Family:
                 v = cl.classify(lang(text), f)
                 if v.outcome is Outcome.UNKNOWN:
@@ -226,10 +250,11 @@ class TestClassifyAll:
             assert verdicts[family].reason == "transition monoid exceeds cap 2"
 
     def test_sydef_state_cap_gives_unknown(self):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, sydef_state_cap=1)
-        v = cl.classify(lang("(a|b)*b"), Family.SYDEF, cfg)
-        assert v.outcome is Outcome.UNKNOWN
-        assert v.reason == "no single-word E within bound 2"
+        cfg = dataclasses.replace(DEFAULT_CONFIG, comet_state_cap=1)
+        for family in (Family.SYDEF, Family.TWOCOM):
+            v = cl.classify(lang("c(ab)*c", "abc"), family, cfg)
+            assert v.outcome is Outcome.UNKNOWN
+            assert v.reason == "comet state cap 1 exceeded"
 
 
 class TestCertificateCaps:
@@ -347,6 +372,35 @@ class TestDefiniteOracle:
                 assert v.certificate["window"] == window
                 assert cl.verify_certificate(h, Family.DEF, v.certificate)
         assert (len(dfas), yes) == (1054, 56)
+
+
+class TestCometOracle:
+    def test_every_minimal_dfa_up_to_three_states(self):
+        dfas = sorted(set().union(*(_minimal_dfas(n) for n in (1, 2, 3))),
+                      key=au.dfa_to_text)
+        bounded = json.loads((GOLDEN / "bounded_comets.json").read_text())
+        letter = {Outcome.YES: "y", Outcome.NO: "n"}
+        got = {Family.SYDEF: "", Family.TWOCOM: ""}
+        for i, dfa in enumerate(dfas):
+            h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
+            v = {f: cl.classify(h, f) for f in (
+                Family.SYDEF, Family.TWOCOM, Family.LCOM, Family.RCOM,
+                Family.PS)}
+            for f in got:
+                got[f] += letter[v[f].outcome]
+                # every verdict the bounded search decided stands
+                assert bounded[f.value][i] in ("u", got[f][-1]), \
+                    (f, au.dfa_to_text(dfa))
+                if v[f].outcome is Outcome.YES:
+                    assert cl.verify_certificate(h, f, v[f].certificate)
+            if v[Family.SYDEF].outcome is Outcome.YES:
+                assert all(v[f].outcome is Outcome.YES
+                           for f in (Family.LCOM, Family.RCOM, Family.PS))
+            if v[Family.TWOCOM].outcome is Outcome.NO:
+                assert all(v[f].outcome is Outcome.NO
+                           for f in (Family.LCOM, Family.RCOM))
+        assert [(s.count("y"), s.count("n")) for s in got.values()] == \
+            [(58, 996), (1042, 12)]
 
 
 class TestOrderedOracle:

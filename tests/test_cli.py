@@ -64,7 +64,7 @@ class TestClassify:
         assert verdicts["NC"]["outcome"] == "unknown"
         assert "cap 2" in verdicts["NC"]["reason"]
 
-    @pytest.mark.parametrize("flag", ["--bound", "--cap-monoid"])
+    @pytest.mark.parametrize("flag", ["--cap-monoid"])
     def test_flag_below_one_is_input_error(self, capsys, flag):
         code, out, err = run(capsys, "classify", "ab", "--alphabet", "ab",
                              flag, "0")
@@ -188,6 +188,3 @@ class TestHierarchy:
                            "--cap-monoid", "1")
         assert code == 1
         assert "ab_star NC=yes: expected yes, got unknown" in out
-        code, _, err = run(capsys, "hierarchy", "verify", "--corpus-size", "5",
-                           "--bound", "0")
-        assert code == 2 and "--bound" in err

@@ -1,7 +1,7 @@
 """Golden pins of the classifier's JSON output.
 
 `golden/classify_all.jsonl` holds the `classify_all` verdicts of every
-registry language and every fixture selection at 2COM bounds 1 and 2.
+registry language and every fixture selection.
 `golden/twocom_corpus.jsonl` holds the 2COM verdict of each language of
 `random_corpus(1000)` under `CORPUS_CONFIG`; criterion 9 checks it inside
 its own corpus pass.  `golden/nf2com.jsonl` holds the left and right
@@ -18,12 +18,11 @@ import itertools
 import json
 import random
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from subreg import classify as cl, cli, comets, grammar as gr, \
     hierarchy as hi, regex as rx
-from subreg.classify import DEFAULT_CONFIG, Family
+from subreg.classify import Family
 
 GOLDEN = Path(__file__).parent / "golden"
 AB = ("a", "b")
@@ -53,15 +52,13 @@ def _languages():
 
 def classify_all_lines() -> list[str]:
     out = []
-    for bound in (1, 2):
-        config = replace(DEFAULT_CONFIG, twocom_bound=bound)
-        for tag, h in _languages():
-            verdicts = cl.classify_all(h, config)
-            out.append(line({
-                "bound": bound, "language": tag,
-                "alphabet": "".join(h.alphabet), "regex": rx.render(h.regex),
-                "verdicts": {f.value: v.to_json() for f, v in verdicts.items()},
-            }))
+    for tag, h in _languages():
+        verdicts = cl.classify_all(h)
+        out.append(line({
+            "language": tag,
+            "alphabet": "".join(h.alphabet), "regex": rx.render(h.regex),
+            "verdicts": {f.value: v.to_json() for f, v in verdicts.items()},
+        }))
     return out
 
 
