@@ -80,6 +80,10 @@ class Outcome(enum.Enum):
 
 @dataclass
 class Verdict:
+    """A family verdict.  Certificates that depend only on the minimal
+    DFA (NC, SF, PS, ORD, DEF, COMB) are shared between verdicts, so a
+    certificate is read-only: copy it before changing it."""
+
     family: Family
     outcome: Outcome
     certificate: dict | None = None
@@ -231,12 +235,14 @@ class _PairParity:
     """Parity union-find, with rollback, over the unordered state pairs of
     an n-state automaton.
 
-    The bit of the pair {p, q}, p < q, says whether p precedes q.  In a
-    monotone order a letter that sends p and q to distinct states u and v
-    orients {u, v} as it does {p, q}, in both directions, so it ties the
-    two bits with a known parity; a component whose parities disagree
-    refutes every order.  A constant 0 node fixes orientations.  There is
-    no path compression, so `undo` restores any earlier state exactly.
+    The pair {p, q}, p < q, is node p*n + q, and its bit says whether p
+    precedes q.  In a monotone order a letter that sends p and q to
+    distinct states u and v orients {u, v} as it does {p, q}, in both
+    directions, so it ties the two bits with a known parity; a component
+    whose parities disagree refutes every order.  A constant 0 node fixes
+    orientations.  Unions hang the smaller tree under the larger (the
+    second root on a tie) and log the hung root on `trail`; there is no
+    path compression, so `undo` restores any earlier state exactly.
     """
 
     def __init__(self, n: int):
@@ -246,9 +252,6 @@ class _PairParity:
         self.parity = [0] * (n * n + 1)
         self.size = [1] * (n * n + 1)
         self.trail = []
-
-    def node(self, p: int, q: int) -> int:
-        return p * self.n + q if p < q else q * self.n + p
 
     def find(self, x: int) -> tuple[int, int]:
         """The root of x and the parity of x relative to it."""
@@ -271,13 +274,53 @@ class _PairParity:
         self.trail.append(root_x)
         return True
 
-    def tie(self, p: int, q: int, u: int, v: int) -> bool:
-        """p precedes q iff u precedes v; False on a contradiction."""
-        return self._union(self.node(p, q), self.node(u, v), (p > q) ^ (u > v))
-
     def fix(self, p: int, q: int) -> None:
-        """p precedes q; made before any tie, so it cannot contradict."""
-        self._union(self.node(p, q), self.anchor, int(p < q))
+        """p precedes q, p < q; made before any tie, so it cannot
+        contradict."""
+        self._union(p * self.n + q, self.anchor, 1)
+
+    def tie_moves(self, rows, s: int, a: int) -> bool:
+        """Tie {s, s2} to {t, t2} for every state s2, in order, whose move
+        t2 on letter a is fixed (not -1) and differs from s's move t;
+        False at the first contradiction.
+
+        This is `_union` inlined into one loop, since the split search
+        spends most of its time here: the same unions in the same order.
+        """
+        n = self.n
+        parent, parity, size, trail = (self.parent, self.parity, self.size,
+                                       self.trail)
+        t = rows[s][a]
+        for s2, row in enumerate(rows):
+            t2 = row[a]
+            if t2 == -1 or t2 == t:  # also s2 == s
+                continue
+            if s < s2:
+                x, par = s * n + s2, 0
+            else:
+                x, par = s2 * n + s, 1
+            if t < t2:
+                y = t * n + t2
+            else:
+                y, par = t2 * n + t, par ^ 1
+            while parent[x] != x:
+                par ^= parity[x]
+                x = parent[x]
+            while parent[y] != y:
+                par ^= parity[y]
+                y = parent[y]
+            # par is now the parity x's root must have relative to y's
+            if x == y:
+                if par:
+                    return False
+                continue
+            if size[x] > size[y]:
+                x, y = y, x
+            parent[x] = y
+            parity[x] = par
+            size[y] += size[x]
+            trail.append(x)
+        return True
 
     def undo(self, mark: int) -> None:
         """Undo every union made since the trail had length `mark`."""
@@ -302,7 +345,7 @@ def _order_from(pairs: _PairParity, budget):
     members = {}
     for p in range(n):
         for q in range(p + 1, n):
-            root, par = pairs.find(pairs.node(p, q))
+            root, par = pairs.find(p * n + q)
             where[p, q] = root, par
             members.setdefault(root, []).append((p, q, par))
     roots = sorted(members, key=lambda r: -len(members[r]))
@@ -392,7 +435,10 @@ class _Split:
     to precede by index and their choices only grow, which loses no
     solution.  Moves into a residual with one copy are forced; the search
     branches on the others and ties each state pair as soon as both of
-    its moves are fixed, pruning on a contradiction.
+    its moves are fixed, pruning on a contradiction.  Placing a move makes
+    all of its ties in one `_PairParity.tie_moves` loop, in state order;
+    `tests/golden/ord_search.jsonl` pins the search tree this gives
+    through the budget it leaves and the first order it finds.
     """
 
     def __init__(self, dfa: Dfa, mult):
@@ -404,11 +450,8 @@ class _Split:
         self.pairs = _PairParity(len(self.owner))
 
     def _place(self, s, a, t) -> bool:
-        rows = self.rows
-        rows[s][a] = t
-        return all(self.pairs.tie(s, s2, t, rows[s2][a])
-                   for s2 in range(len(rows))
-                   if s2 != s and rows[s2][a] not in (-1, t))
+        self.rows[s][a] = t
+        return self.pairs.tie_moves(self.rows, s, a)
 
     def order(self, budget):
         """A monotone order over all the copies, or None."""
@@ -854,14 +897,42 @@ _DECIDERS = {
 }
 
 
+# Certificates that depend only on the minimal DFA are shared, as
+# `automata._shared` shares rows: few distinct ones occur (1410 over the
+# 5000 languages of `hierarchy.random_corpus(5000)`: 1033 ORD, 364 DEF,
+# 9 NC and PS, 4 COMB), and a caller that keeps its verdicts then keeps
+# one dict for each.  Certificates that quote L's regex text are not
+# shared.  The table stops growing at _SHARED_CAP entries.
+_DFA_ONLY = frozenset({Family.NC, Family.SF, Family.PS, Family.ORD,
+                       Family.DEF, Family.COMB})
+_SHARED: dict = {}
+_SHARED_CAP = 1 << 12
+
+
+def _shared(cert: dict) -> dict:
+    """A certificate equal to `cert`: the first one the table holds, if
+    any."""
+    key = tuple((k, tuple(v) if isinstance(v, list) else v)
+                for k, v in cert.items())
+    got = _SHARED.get(key)
+    if got is not None:
+        return got
+    if len(_SHARED) < _SHARED_CAP:
+        _SHARED[key] = cert
+    return cert
+
+
 def classify(l: LanguageHandle, family: Family,
              config: ClassifierConfig = DEFAULT_CONFIG) -> Verdict:
     """The family verdict; a search that exceeds a resource cap answers
     Unknown with the cap as the reason."""
     try:
-        return _DECIDERS[family](l, config)
+        verdict = _DECIDERS[family](l, config)
     except ResourceCapExceeded as exc:
         return _unknown(family, str(exc))
+    if verdict.certificate is not None and family in _DFA_ONLY:
+        verdict.certificate = _shared(verdict.certificate)
+    return verdict
 
 
 # Proper inclusions of Figure 1 among the classifiable families; a Yes on
@@ -940,6 +1011,8 @@ def _comet_parts(l: LanguageHandle, family: Family, cert: dict):
             raise CertificateError("X must contain alphabet letters")
         return rx.EMPTY, one, sigma, rx.finite_language_regex(x)
     if family is Family.DEF:
+        if "A" not in cert and "B" not in cert:
+            return None  # the window alone, checked by `_is_definite`
         a_part, b_part = cert["A"], cert["B"]
         return (rx.finite_language_regex(a_part), one, sigma,
                 rx.finite_language_regex(b_part))
@@ -959,6 +1032,22 @@ def _comet_parts(l: LanguageHandle, family: Family, cert: dict):
             raise CertificateError("UF regex must be text")
         return rx.EMPTY, rx.parse_regex(cert["regex"], V), rx.EMPTY, one
     return None
+
+
+def _is_definite(dfa: Dfa, k: int, cap: int) -> bool:
+    """Whether L is k-definite: after any k letters, acceptance agrees on
+    every state pair.  The images of the state set under the words of
+    each length are found layer by layer, each layer bounded by `cap`."""
+    columns = list(zip(*dfa.transitions))
+    finals = sum(1 << q for q in dfa.finals)
+    layer = {(1 << dfa.n_states) - 1}
+    for _ in range(k):
+        layer = {_image(states, column) for states in layer
+                 for column in columns}
+        if len(layer) > cap:
+            raise ResourceCapExceeded(f"transition monoid exceeds cap {cap}")
+    return all(not states & finals or not states & ~finals
+               for states in layer)
 
 
 def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
@@ -982,6 +1071,11 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
                 return False
             expr = rx.union(a, rx.cat(e, rx.cat(rx.star(g), h)))
             return equivalent(automata.dfa_of(expr, V), dfa)
+        if family is Family.DEF:
+            k = cert["window"]
+            if not isinstance(k, int) or k < 0:
+                raise CertificateError("window must be a natural number")
+            return _is_definite(dfa, k, config.monoid_cap)
         if family is Family.ORD:
             if "automaton" in cert:
                 machine = automata.dfa_from_text(cert["automaton"])

@@ -308,6 +308,11 @@ def main(argv=None) -> int:
             automata.AlphabetMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (cls.ConsistencyError, cls.CertificateError) as exc:
+        # the verdicts contradict the hierarchy, or a certificate cannot
+        # be checked: a verification failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except RecursionError:
         # the regex functions recurse over the syntax tree
         print("error: input nested too deeply", file=sys.stderr)

@@ -91,6 +91,18 @@ class TestCertificates:
         assert v.certificate == {"window": 40, "A": [], "B": ["a" * 40]}
         assert cl.verify_certificate(h, Family.DEF, v.certificate)
 
+    def test_window_only_def_certificate(self):
+        # 2^17 words exceed def_word_cap, so the window is all it states
+        h = lang("(a|b)*a" + "b" * 16)
+        v = cl.classify(h, Family.DEF)
+        assert v.certificate == {"window": 17}
+        assert cl.verify_certificate(h, Family.DEF, v.certificate)
+        assert not cl.verify_certificate(h, Family.DEF, {"window": 16})
+        assert not cl.verify_certificate(lang("(ab)*"), Family.DEF,
+                                         {"window": 5})
+        with pytest.raises(cl.CertificateError):
+            cl.verify_certificate(h, Family.DEF, {"window": -1})
+
     def test_sydef_certificate(self):
         h = lang("(a|b)*b")
         v = cl.classify(h, Family.SYDEF)
@@ -141,6 +153,53 @@ class TestCertificates:
             if not cl.verify_certificate(h, Family.ORD, bad):
                 failures += 1
         assert failures > 0
+
+
+class TestSharedCertificates:
+    DFA_ONLY = (Family.NC, Family.SF, Family.PS, Family.ORD, Family.DEF,
+                Family.COMB)
+    QUOTE_L = (Family.STAR, Family.RCOM, Family.LCOM, Family.TWOCOM,
+               Family.UF, Family.SYDEF)
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(cl, "_SHARED", {})
+
+    def test_equal_minimal_dfas_share_one_certificate(self):
+        one, two = lang("(a|b)*a"), lang("(a|b)*(a|b)*a")
+        assert one.dfa == two.dfa
+        for f in self.DFA_ONLY:
+            v1, v2 = cl.classify(one, f), cl.classify(two, f)
+            assert v1.outcome is Outcome.YES, f
+            assert v1.certificate is v2.certificate, f
+
+    def test_certificates_that_quote_l_are_not_shared(self):
+        seen = set()
+        for text in ("(a|b)*", "(a|b)*a", "b*a(a|b)*"):
+            one, two = lang(text), lang(text)
+            for f in self.QUOTE_L:
+                v1, v2 = cl.classify(one, f), cl.classify(two, f)
+                if v1.outcome is Outcome.YES:
+                    seen.add(f)
+                    assert v1.certificate == v2.certificate, (text, f)
+                    assert v1.certificate is not v2.certificate, (text, f)
+        assert seen == set(self.QUOTE_L)
+        assert cl._SHARED == {}
+
+    def test_table_stops_growing_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(cl, "_SHARED_CAP", 2)
+
+        def certificates():
+            return [cl.classify(lang("a" * k + "a*", "a"), Family.DEF)
+                    .certificate for k in range(1, 5)]
+
+        first = certificates()
+        assert len(cl._SHARED) == 2
+        again = certificates()
+        assert again == first
+        assert [a is b for a, b in zip(again, first)] == [True, True,
+                                                         False, False]
+        assert len(cl._SHARED) == 2
 
 
 class TestBoundedDeciders:

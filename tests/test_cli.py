@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from subreg import cli, grammar as gr
+from subreg import classify as cls, cli, grammar as gr
+from subreg.classify import Family
 
 
 def run(capsys, *argv):
@@ -78,6 +79,25 @@ class TestClassify:
         code, out, err = run(capsys, "classify", text, "--alphabet", "a")
         assert code == 2 and out == ""
         assert err == "error: input nested too deeply\n"
+
+    def test_consistency_error_is_verification_failure(self, capsys,
+                                                        monkeypatch):
+        # NC = no beside ORD = yes breaks the ORD => NC implication
+        monkeypatch.setitem(cls._DECIDERS, Family.NC,
+                            lambda l, config: cls._no(Family.NC))
+        code, out, err = run(capsys, "classify", "(ab)*", "--alphabet", "ab")
+        assert code == 1 and out == ""
+        assert err == "error: ORD = yes but NC = no for (ab)*\n"
+
+    def test_certificate_error_is_verification_failure(self, capsys,
+                                                        monkeypatch):
+        # the COMB decider checks its candidate certificate
+        def reject(*args):
+            raise cls.CertificateError("cannot check certificate")
+        monkeypatch.setattr(cls, "verify_certificate", reject)
+        code, out, err = run(capsys, "classify", "(ab)*", "--alphabet", "ab")
+        assert code == 1 and out == ""
+        assert err == "error: cannot check certificate\n"
 
 
 class TestNf2com:

@@ -7,9 +7,14 @@ registry language and every fixture selection.
 its own corpus pass.  `golden/nf2com.jsonl` holds the left and right
 normal forms of the 1000 criterion-4 decompositions, and
 `golden/grammar.jsonl` the exit code and JSON output of every `grammar`
-subcommand on every fixture.  All are one JSON object per line.  Rewrite
-them with `PYTHONPATH=src python tests/test_golden.py` only for a change
-that is meant to alter an output.
+subcommand on every fixture.  `golden/ord_search.jsonl` pins the ORD
+split search itself, not only its answer: for each language of
+`random_corpus(300)` the ORD verdict under `CORPUS_CONFIG`, and the
+split automaton that `_split_order(dfa, 2, [8000])` finds with the budget
+it leaves, so a change that reorders the search fails here.  All are one
+JSON object per line.  Rewrite them with
+`PYTHONPATH=src python tests/test_golden.py` only for a change that is
+meant to alter an output.
 """
 
 import contextlib
@@ -126,6 +131,22 @@ def grammar_lines(directory) -> list[str]:
     return out
 
 
+def ord_search_lines() -> list[str]:
+    out = []
+    for h in hi.random_corpus(300):
+        budget = [8000]
+        try:
+            found = cl._split_order(h.dfa, 2, budget)
+        except cl._SearchCapHit:
+            found = None
+        out.append(line({
+            "regex": rx.render(h.regex),
+            "ORD": cl.classify(h, Family.ORD, hi.CORPUS_CONFIG).to_json(),
+            "split": found, "budget_left": budget[0],
+        }))
+    return out
+
+
 def test_classify_all_matches_golden():
     assert classify_all_lines() == read_golden("classify_all.jsonl")
 
@@ -138,11 +159,17 @@ def test_grammar_matches_golden(tmp_path):
     assert grammar_lines(tmp_path) == read_golden("grammar.jsonl")
 
 
+def test_ord_search_matches_golden():
+    assert ord_search_lines() == read_golden("ord_search.jsonl")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "classify_all.jsonl").write_text(
         "\n".join(classify_all_lines()) + "\n")
     (GOLDEN / "nf2com.jsonl").write_text("\n".join(nf2com_lines()) + "\n")
+    (GOLDEN / "ord_search.jsonl").write_text(
+        "\n".join(ord_search_lines()) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "grammar.jsonl").write_text(
             "\n".join(grammar_lines(tmp)) + "\n")
