@@ -196,19 +196,32 @@ def _classify_def(l, config):
     if len(l.alphabet) ** k <= config.def_word_cap:
         # the guard bounds the words listed here, so no length cap applies
         a_part = enumerate_words(dfa, k - 1, cap=k - 1) if k > 0 else []
-        b_part = []
-        n = dfa.n_states
-        idx = {a: i for i, a in enumerate(dfa.alphabet)}
-        for w in itertools.product(dfa.alphabet, repeat=k):
-            states = range(n)
-            img = set(states)
-            for a in w:
-                img = {dfa.transitions[s][idx[a]] for s in img}
-            if img <= dfa.finals:
-                b_part.append("".join(w))
         cert["A"] = a_part
-        cert["B"] = b_part
+        cert["B"] = _definite_words(dfa, k)
     return _yes(Family.DEF, cert)
+
+
+def _definite_words(dfa: Dfa, k: int) -> list[str]:
+    """The words w of length k with Q.w inside F, in `itertools.product`
+    order.  Words that share a prefix share its image: the images of Q
+    are found layer by layer, and the words are built back from the last
+    layer, the accepted suffixes of each image once."""
+    columns = list(zip(*dfa.transitions))
+    finals = sum(1 << q for q in dfa.finals)
+    layers = [{(1 << dfa.n_states) - 1: None}]
+    for _ in range(k):
+        layer = layers[-1]
+        for states in layer:
+            layer[states] = [_image(states, column) for column in columns]
+        layers.append(dict.fromkeys(t for succ in layer.values() for t in succ))
+    suffixes = {states: [""] if states & finals == states else []
+                for states in layers[-1]}
+    for layer in reversed(layers[:-1]):
+        suffixes = {states: [a + u for a, t in zip(dfa.alphabet, succ)
+                             for u in suffixes[t]]
+                    for states, succ in layer.items()}
+    (words,) = suffixes.values()
+    return words
 
 
 def _classify_suf(l, config):
@@ -810,6 +823,18 @@ def _comet_set(dfa: Dfa, cap: int, every_letter: bool):
     return None
 
 
+def _prior(l, config, decided, family):
+    """`family`'s verdict: the one in `decided` (`classify_all` decides
+    it first), else a fresh one.  An unknown one raises the cap that its
+    decider hit, as a fresh run would."""
+    if decided is None:
+        return _DECIDERS[family](l, config)
+    verdict = decided[family]
+    if verdict.outcome is Outcome.UNKNOWN:
+        raise ResourceCapExceeded(verdict.reason)
+    return verdict
+
+
 def _regex_text(l, dfa: Dfa) -> str:
     """Regex text for L(dfa): L's own text when the languages are equal,
     since state elimination can yield a regex far longer than L's."""
@@ -817,20 +842,22 @@ def _regex_text(l, dfa: Dfa) -> str:
     return l.text if dfa == l.dfa else rx.render(dfa_to_regex(dfa))
 
 
-def _classify_twocom(l, config):
+def _classify_twocom(l, config, decided=None):
     """E G* H: exact for empty and finite L, a one-sided comet's
-    certificate when there is one, else the closed state set search."""
+    certificate when there is one, else the closed state set search.
+    `decided` holds the RCOM and LCOM verdicts when `classify_all` has
+    them."""
     dfa = l.dfa
     card = cardinality_class(dfa)
     if card is CardinalityClass.EMPTY:
         return _yes(Family.TWOCOM, {"E": "0", "G": l.alphabet[0], "H": "1"})
     if card is CardinalityClass.FINITE_NONEMPTY:
         return _no(Family.TWOCOM, "finite non-empty languages are not comets")
-    r = _classify_rcom(l, config)
+    r = _prior(l, config, decided, Family.RCOM)
     if r.outcome is Outcome.YES:
         return _yes(Family.TWOCOM, {"E": "1", "G": r.certificate["g"],
                                     "H": l.text})
-    lv = _classify_lcom(l, config)
+    lv = _prior(l, config, decided, Family.LCOM)
     if lv.outcome is Outcome.YES:
         return _yes(Family.TWOCOM, {"E": l.text, "G": lv.certificate["g"],
                                     "H": "1"})
@@ -844,12 +871,13 @@ def _classify_twocom(l, config):
                                 "H": _regex_text(l, k_dfa)})
 
 
-def _classify_sydef(l, config):
+def _classify_sydef(l, config, decided=None):
+    """`decided` holds the PS verdict when `classify_all` has it."""
     dfa = l.dfa
     card = cardinality_class(dfa)
     if card is CardinalityClass.FINITE_NONEMPTY:
         return _no(Family.SYDEF, "E V* H is either empty or infinite")
-    if _classify_ps(l, config).outcome is Outcome.NO:
+    if _prior(l, config, decided, Family.PS).outcome is Outcome.NO:
         return _no(Family.SYDEF, "not power-separating")
     found = _comet_set(dfa, config.comet_state_cap, every_letter=True)
     if found is None:
@@ -922,12 +950,21 @@ def _shared(cert: dict) -> dict:
     return cert
 
 
+# SYDEF reads the PS verdict and 2COM the RCOM and LCOM verdicts;
+# `classify_all` decides these two last and hands them its verdicts.
+_READERS = (Family.SYDEF, Family.TWOCOM)
+
+
 def classify(l: LanguageHandle, family: Family,
-             config: ClassifierConfig = DEFAULT_CONFIG) -> Verdict:
+             config: ClassifierConfig = DEFAULT_CONFIG,
+             _decided: dict | None = None) -> Verdict:
     """The family verdict; a search that exceeds a resource cap answers
     Unknown with the cap as the reason."""
     try:
-        verdict = _DECIDERS[family](l, config)
+        if family in _READERS:
+            verdict = _DECIDERS[family](l, config, _decided)
+        else:
+            verdict = _DECIDERS[family](l, config)
     except ResourceCapExceeded as exc:
         return _unknown(family, str(exc))
     if verdict.certificate is not None and family in _DFA_ONLY:
@@ -963,10 +1000,11 @@ IMPLICATIONS = [
 def classify_all(l: LanguageHandle,
                  config: ClassifierConfig = DEFAULT_CONFIG) -> dict[Family, Verdict]:
     verdicts = {}
-    for f in Family:
+    for f in [*(f for f in Family if f not in _READERS), *_READERS]:
         # SF = NC (Schützenberger; McNaughton & Papert): NC decides both
         verdicts[f] = (replace(verdicts[Family.NC], family=f)
-                       if f is Family.SF else classify(l, f, config))
+                       if f is Family.SF else classify(l, f, config, verdicts))
+    verdicts = {f: verdicts[f] for f in Family}
     for x, y in IMPLICATIONS:
         if (verdicts[x].outcome is Outcome.YES
                 and verdicts[y].outcome is Outcome.NO):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -49,13 +50,17 @@ def _language(arg: str, alphabet: str) -> LanguageHandle:
         raise InputError(str(exc)) from exc
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise InputError(f"{flag} must be at least {low}, got {value}")
+
+
 def _config(args, base=DEFAULT_CONFIG):
     """`base` with the --cap-monoid override applied."""
     value = args.cap_monoid
     if value is None:
         return base
-    if value < 1:
-        raise InputError(f"--cap-monoid must be at least 1, got {value}")
+    _at_least("--cap-monoid", value, 1)
     return dataclasses.replace(base, monoid_cap=value)
 
 
@@ -137,6 +142,7 @@ def cmd_grammar(args) -> int:
             print(f"valid; l_A={m.l_a} l_C={m.l_c} l={m.l}")
         return 0
     if args.gcommand == "enum":
+        _at_least("-n/--max-length", args.max_length, 0)
         g = _load_grammar(args.grammar)
         words = gr.enumerate_language(g, args.max_length)
         if args.format == "json":
@@ -197,6 +203,7 @@ def cmd_grammar(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     if args.hcommand == "verify":
+        _at_least("--corpus-size", args.corpus_size, 1)
         report = hierarchy.verify_witnesses(config=_config(args))
         edges = hierarchy.edge_consistency_check(
             corpus=hierarchy.random_corpus(args.corpus_size),
@@ -232,7 +239,12 @@ def cmd_hierarchy(args) -> int:
     raise InputError(f"unknown hierarchy subcommand {args.hcommand!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one, so `main` builds it once per process.  Each subcommand's
+    handler is bound when the parser is built: replacing a `cmd_*`
+    function afterwards does not change what `main` calls."""
     parser = argparse.ArgumentParser(
         prog="subreg",
         description="Workbench for subregular language families, comet "

@@ -91,6 +91,14 @@ class TestCertificates:
         assert v.certificate == {"window": 40, "A": [], "B": ["a" * 40]}
         assert cl.verify_certificate(h, Family.DEF, v.certificate)
 
+    def test_def_certificate_lists_one_of_many_words(self):
+        # 2^16 words of length 16, one of which leads every state into F
+        h = lang("(a|b)*a" + "b" * 15)
+        v = cl.classify(h, Family.DEF)
+        assert v.certificate == {"window": 16, "A": [],
+                                 "B": ["a" + "b" * 15]}
+        assert cl.verify_certificate(h, Family.DEF, v.certificate)
+
     def test_window_only_def_certificate(self):
         # 2^17 words exceed def_word_cap, so the window is all it states
         h = lang("(a|b)*a" + "b" * 16)
@@ -315,6 +323,39 @@ class TestClassifyAll:
             assert v.outcome is Outcome.UNKNOWN
             assert v.reason == "comet state cap 1 exceeded"
 
+    @pytest.mark.parametrize("text", ["a*b|b*a", "(ab)*", "c(ab)*c",
+                                      "(a|b)*b", "ab|ba", "0"])
+    def test_sydef_and_2com_reuse_the_verdicts_they_read(self, monkeypatch,
+                                                         text):
+        alphabet = "abc" if "c" in text else "ab"
+        alone = {f: cl.classify(lang(text, alphabet), f)
+                 for f in (Family.SYDEF, Family.TWOCOM)}
+        calls = []
+        for f in (Family.PS, Family.RCOM, Family.LCOM):
+            decide = cl._DECIDERS[f]
+
+            def counting(l, config, f=f, decide=decide):
+                calls.append(f)
+                return decide(l, config)
+
+            # SYDEF and 2COM may reach a decider by either name
+            monkeypatch.setitem(cl._DECIDERS, f, counting)
+            monkeypatch.setattr(cl, decide.__name__, counting)
+        verdicts = cl.classify_all(lang(text, alphabet))
+        assert list(verdicts) == list(Family)
+        assert sorted(calls, key=list(Family).index) == [
+            Family.PS, Family.LCOM, Family.RCOM]
+        for f, v in alone.items():
+            assert verdicts[f] == v
+
+    def test_sydef_reads_an_unknown_ps_as_its_cap(self):
+        cfg = dataclasses.replace(DEFAULT_CONFIG, monoid_cap=2)
+        h = lang("(a|b)*b")
+        verdicts = cl.classify_all(h, cfg)
+        assert verdicts[Family.PS].outcome is Outcome.UNKNOWN
+        assert verdicts[Family.SYDEF] == cl.classify(h, Family.SYDEF, cfg) \
+            == cl._unknown(Family.SYDEF, "transition monoid exceeds cap 2")
+
 
 class TestCertificateCaps:
     def test_cap_hit_is_a_certificate_error(self):
@@ -431,6 +472,18 @@ class TestDefiniteOracle:
                 assert v.certificate["window"] == window
                 assert cl.verify_certificate(h, Family.DEF, v.certificate)
         assert (len(dfas), yes) == (1054, 56)
+
+    def test_b_lists_words_in_product_order(self):
+        dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
+        for dfa in dfas:
+            k = cl._def_window(dfa)
+            if k is None:
+                continue
+            want = ["".join(w) for w in itertools.product(dfa.alphabet,
+                                                          repeat=k)
+                    if all(dataclasses.replace(dfa, start=q).accepts(w)
+                           for q in range(dfa.n_states))]
+            assert cl._definite_words(dfa, k) == want, au.dfa_to_text(dfa)
 
 
 class TestCometOracle:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -165,6 +166,12 @@ class TestGrammar:
         assert code == 3
         assert "definite" in err
 
+    @pytest.mark.parametrize("n", ["-1", "-7"])
+    def test_negative_length_is_input_error(self, capsys, ex1_path, n):
+        code, out, err = run(capsys, "grammar", "enum", ex1_path, "-n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: -n/--max-length must be at least 0, got {n}\n"
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, _ = run(capsys, "grammar", "validate", "/nonexistent.json")
         assert code == 2
@@ -208,3 +215,56 @@ class TestHierarchy:
                            "--cap-monoid", "1")
         assert code == 1
         assert "ab_star NC=yes: expected yes, got unknown" in out
+
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_corpus_size_below_one_is_input_error(self, capsys, size):
+        code, out, err = run(capsys, "hierarchy", "verify",
+                             "--corpus-size", size)
+        assert code == 2 and out == ""
+        assert err == f"error: --corpus-size must be at least 1, got {size}\n"
+
+
+class TestParserReuse:
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        assert run(capsys, "hierarchy", "query", "MON", "REG")[0] == 0
+        assert run(capsys, "hierarchy", "query", "NC", "SF")[0] == 0
+        assert built.count("subreg") == 1
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_rejection_leaves_later_calls_unchanged(self, capsys):
+        argv = ["classify", "(ab)*", "--alphabet", "ab", "--format", "json"]
+        cli.build_parser.cache_clear()
+        first = run(capsys, *argv)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["classify", "a"])
+            assert exc.value.code == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.startswith("usage: subreg classify")
+            errors.append(out.err)
+        assert errors[0] == errors[1]
+        assert "--alphabet" in errors[0]
+        assert run(capsys, *argv) == first
+
+    @pytest.mark.parametrize("argv", [["--help"], ["grammar", "enum", "--help"]],
+                             ids=["top", "grammar_enum"])
+    def test_help_is_unchanged(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(argv)
+        want = capsys.readouterr().out
+        assert want.startswith("usage: subreg")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == want
