@@ -4,8 +4,9 @@ A regex becomes its position automaton (``compile_regex``), an NFA with
 one state per letter occurrence plus a start state.  No automaton here
 has empty moves: the rational operations on NFAs (``concat_nfa``,
 ``union_nfa``, ``star_nfa``, ``reverse_nfa``) copy initial moves instead.
-``determinize`` is the one subset construction and ``reachable`` the one
-forward reachability helper.
+``determinize`` is the one subset construction, ``reachable`` the one
+forward reachability helper and ``distance_to_final`` the one backward
+one.
 
 DFAs are always complete (an explicit sink is added where needed) and,
 after ``minimize``, canonically numbered by breadth-first order over the
@@ -332,23 +333,27 @@ class CardinalityClass(enum.Enum):
     INFINITE = "infinite"
 
 
-def useful_states(dfa: Dfa) -> set[int]:
-    """States both reachable and able to reach an accepting state."""
-    reach = reachable(dfa)
-    # reverse reachability from finals
+def distance_to_final(dfa: Dfa) -> dict[int, int]:
+    """The length of a shortest word from each state into F, for every
+    state that has one: the one backward reachability helper."""
     preds: dict[int, set[int]] = {}
     for s in range(dfa.n_states):
         for t in dfa.transitions[s]:
             preds.setdefault(t, set()).add(s)
-    co = set(dfa.finals)
-    queue = deque(co)
+    dist = dict.fromkeys(dfa.finals, 0)
+    queue = deque(dfa.finals)
     while queue:
         s = queue.popleft()
         for p in preds.get(s, ()):
-            if p not in co:
-                co.add(p)
+            if p not in dist:
+                dist[p] = dist[s] + 1
                 queue.append(p)
-    return reach & co
+    return dist
+
+
+def useful_states(dfa: Dfa) -> set[int]:
+    """States both reachable and able to reach an accepting state."""
+    return reachable(dfa) & set(distance_to_final(dfa))
 
 
 def cardinality_class(dfa: Dfa) -> CardinalityClass:
@@ -384,28 +389,6 @@ def cardinality_class(dfa: Dfa) -> CardinalityClass:
 def complement(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet, dfa.transitions, dfa.start,
                frozenset(range(dfa.n_states)) - dfa.finals)
-
-
-def intersect(a: Dfa, b: Dfa) -> Dfa:
-    _check_same_alphabet(a, b)
-    ids = {(a.start, b.start): 0}
-    rows = []
-    finals = set()
-    queue = deque([(a.start, b.start)])
-    while queue:
-        p, q = queue.popleft()
-        row = []
-        for i in range(len(a.alphabet)):
-            nxt = (a.transitions[p][i], b.transitions[q][i])
-            if nxt not in ids:
-                ids[nxt] = len(ids)
-                queue.append(nxt)
-            row.append(ids[nxt])
-        rows.append(row)
-    for (p, q), i in ids.items():
-        if p in a.finals and q in b.finals:
-            finals.add(i)
-    return Dfa(a.alphabet, tuple(tuple(r) for r in rows), 0, frozenset(finals))
 
 
 def _shifted(a: Nfa | Dfa, by: int) -> Nfa:
@@ -504,20 +487,7 @@ def enumerate_words(dfa: Dfa, n: int, cap: int = 32) -> list[str]:
     """Exactly L(dfa) restricted to length <= n, length-lex ordered."""
     if n > cap:
         raise ResourceCapExceeded(f"enumeration bound {n} exceeds cap {cap}")
-    # min distance from each state to an accepting state, for pruning
-    dist = {f: 0 for f in dfa.finals}
-    preds: dict[int, set[int]] = {}
-    for s in range(dfa.n_states):
-        for t in dfa.transitions[s]:
-            preds.setdefault(t, set()).add(s)
-    queue = deque(dfa.finals)
-    while queue:
-        s = queue.popleft()
-        for p in preds.get(s, ()):
-            if p not in dist:
-                dist[p] = dist[s] + 1
-                queue.append(p)
-
+    dist = distance_to_final(dfa)  # for pruning
     out = []
     frontier = [("", dfa.start)]
     for length in range(n + 1):
@@ -539,10 +509,6 @@ def residual(dfa: Dfa, state: int) -> Dfa:
     if not 0 <= state < dfa.n_states:
         raise AutomataError(f"unknown state {state}")
     return Dfa(dfa.alphabet, dfa.transitions, state, dfa.finals)
-
-
-def left_word_quotient(dfa: Dfa, word: str) -> Dfa:
-    return residual(dfa, dfa.run(word))
 
 
 # ---------------------------------------------------------------------------
@@ -652,18 +618,23 @@ def dfa_to_text(dfa: Dfa) -> str:
 
 
 def dfa_from_text(text: str) -> Dfa:
-    lines = [l.strip() for l in text.strip().splitlines() if l.strip()]
+    """The DFA that `dfa_to_text` wrote; AutomataError for other text."""
+    lines = [l.split() for l in text.strip().splitlines() if l.strip()]
     if len(lines) < 4:
         raise AutomataError("truncated DFA text")
-    alphabet = tuple(sorted(lines[0].split()[1]))
-    n = int(lines[1].split()[1])
-    start = int(lines[2].split()[1])
-    acc_parts = lines[3].split()[1:]
-    finals = frozenset(int(x) for x in acc_parts)
-    rows = [[None] * len(alphabet) for _ in range(n)]
-    for line in lines[4:]:
-        s, a, t = line.split()
-        rows[int(s)][alphabet.index(a)] = int(t)
+    try:
+        alphabet = tuple(sorted(lines[0][1]))
+        states = range(int(lines[1][1]))  # .index rejects other numbers
+        if len(states) * len(alphabet) > len(lines) - 4:
+            raise AutomataError("truncated DFA text")
+        start = states.index(int(lines[2][1]))
+        finals = frozenset(states.index(int(x)) for x in lines[3][1:])
+        rows = [[None] * len(alphabet) for _ in states]
+        for s, a, t in lines[4:]:
+            row = rows[states.index(int(s))]
+            row[alphabet.index(a)] = states.index(int(t))
+    except (IndexError, ValueError) as exc:
+        raise AutomataError(f"malformed DFA text: {exc}") from None
     for s, row in enumerate(rows):
         if any(t is None for t in row):
             raise AutomataError(f"state {s} has missing transitions")

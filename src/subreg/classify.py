@@ -1,12 +1,14 @@
 """Membership deciders for the subregular language families.
 
 Each decider evaluates a language relative to its declared alphabet and
-returns a three-valued verdict.  SYDEF and 2COM are decided exactly by a
-search over the closed state sets of the minimal DFA (`_comet_set`).
-UF, and ORD beyond its bounded split search, have no complete decision
-procedure here and may answer Unknown, as may any decider whose search
-exceeds a resource cap.  Yes answers carry a certificate that
-re-verifies against the defining equation.
+returns a three-valued verdict.  Every decider reads L through one
+`_Analysis`, which builds each fact that deciders share once per call.
+SYDEF and 2COM are decided exactly by a search over the closed state
+sets of the minimal DFA (`_comet_set`).  UF, and ORD beyond its bounded
+split search, have no complete decision procedure here and may answer
+Unknown, as may any decider whose search exceeds a resource cap.  Yes
+answers carry a certificate that re-verifies against the defining
+equation.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import automata, regex as rx
 from .automata import (
@@ -135,32 +138,91 @@ def _unknown(family, reason):
     return Verdict(family, Outcome.UNKNOWN, None, reason)
 
 
+def _holds(family, ok: bool) -> Verdict:
+    return _yes(family) if ok else _no(family)
+
+
+class _Analysis:
+    """L, its minimal DFA and the config for one `classify` or
+    `classify_all` call, with the verdicts decided so far and the facts
+    that several deciders share, each built on first use.  A fact that
+    hits a cap is not kept, so each reader answers Unknown alike."""
+
+    def __init__(self, l: LanguageHandle, config: ClassifierConfig):
+        self.l = l
+        self.dfa = l.dfa
+        self.config = config
+        self.verdicts: dict[Family, Verdict] = {}
+
+    def decide(self, family: Family) -> Verdict:
+        """`family`'s verdict, decided once; a cap hit is Unknown."""
+        if family not in self.verdicts:
+            try:
+                self.verdicts[family] = _DECIDERS[family](self)
+            except ResourceCapExceeded as exc:
+                self.verdicts[family] = _unknown(family, str(exc))
+        return self.verdicts[family]
+
+    def read(self, family: Family) -> Verdict:
+        """The verdict that one decider reads of another.  An Unknown one
+        raises the cap that its decider hit, as deciding afresh would."""
+        verdict = self.decide(family)
+        if verdict.outcome is Outcome.UNKNOWN:
+            raise ResourceCapExceeded(verdict.reason)
+        return verdict
+
+    @cached_property
+    def monoid(self) -> list:
+        """The transition monoid (NC, PS, and ORD through `aperiodicity`)."""
+        return transition_monoid(self.dfa, self.config.monoid_cap)
+
+    @cached_property
+    def aperiodicity(self) -> int | None:
+        """`aperiodicity_bound` of the monoid (NC and ORD)."""
+        return aperiodicity_bound(self.monoid)
+
+    @cached_property
+    def cardinality(self) -> CardinalityClass:
+        """How many words L has (FIN, NIL, SYDEF and 2COM)."""
+        return cardinality_class(self.dfa)
+
+    @cached_property
+    def comet_sets(self):
+        """(columns, closed, rejects) for `_comet_set` (SYDEF and 2COM):
+        the letter columns, the closed state sets free of states with an
+        empty residual, which no P covering a non-empty L holds (for an
+        empty L the empty set comes first and covers), and the NFA of what
+        each state rejects."""
+        dfa = self.dfa
+        columns = list(zip(*dfa.transitions))
+        useful = sum(1 << q for q in automata.useful_states(dfa))
+        closed = _closed_state_sets(dfa, columns, self.config.comet_state_cap)
+        return (columns, [p for p in closed if not p & ~useful],
+                to_nfa(complement(dfa)))
+
+
 # ---------------------------------------------------------------------------
-# Individual deciders
+# Individual deciders; each takes the `_Analysis` of L
 
 
-def _classify_mon(l, config):
-    ok = equivalent(l.dfa, universe_dfa(l.alphabet))
-    return _yes(Family.MON) if ok else _no(Family.MON)
+def _classify_mon(an):
+    return _holds(Family.MON, equivalent(an.dfa, universe_dfa(an.l.alphabet)))
 
 
-def _classify_fin(l, config):
-    ok = cardinality_class(l.dfa) is not CardinalityClass.INFINITE
-    return _yes(Family.FIN) if ok else _no(Family.FIN)
+def _classify_fin(an):
+    return _holds(Family.FIN, an.cardinality is not CardinalityClass.INFINITE)
 
 
-def _classify_nil(l, config):
-    if cardinality_class(l.dfa) is not CardinalityClass.INFINITE:
-        return _yes(Family.NIL)
-    if cardinality_class(complement(l.dfa)) is not CardinalityClass.INFINITE:
-        return _yes(Family.NIL)
-    return _no(Family.NIL)
+def _classify_nil(an):
+    infinite = CardinalityClass.INFINITE
+    return _holds(Family.NIL, an.cardinality is not infinite or
+                  cardinality_class(complement(an.dfa)) is not infinite)
 
 
-def _classify_comb(l, config):
+def _classify_comb(an):
     # V* X with X the letters in L is the only candidate
-    cert = {"X": [a for a in l.alphabet if l.accepts(a)]}
-    if verify_certificate(l, Family.COMB, cert, config):
+    cert = {"X": [a for a in an.l.alphabet if an.l.accepts(a)]}
+    if verify_certificate(an.l, Family.COMB, cert, an.config):
         return _yes(Family.COMB, cert)
     return _no(Family.COMB)
 
@@ -187,16 +249,15 @@ def _def_window(dfa: Dfa):
     return None
 
 
-def _classify_def(l, config):
-    dfa = l.dfa
+def _classify_def(an):
+    dfa = an.dfa
     k = _def_window(dfa)
     if k is None:
         return _no(Family.DEF)
     cert = {"window": k}
-    if len(l.alphabet) ** k <= config.def_word_cap:
+    if len(dfa.alphabet) ** k <= an.config.def_word_cap:
         # the guard bounds the words listed here, so no length cap applies
-        a_part = enumerate_words(dfa, k - 1, cap=k - 1) if k > 0 else []
-        cert["A"] = a_part
+        cert["A"] = enumerate_words(dfa, k - 1, cap=k - 1) if k > 0 else []
         cert["B"] = _definite_words(dfa, k)
     return _yes(Family.DEF, cert)
 
@@ -224,13 +285,10 @@ def _definite_words(dfa: Dfa, k: int) -> list[str]:
     return words
 
 
-def _classify_suf(l, config):
-    dfa = l.dfa
-    nfa = to_nfa(dfa)
-    nfa.initials = frozenset(range(dfa.n_states))
-    closure = determinize(nfa)
-    ok = subset(closure, dfa)
-    return _yes(Family.SUF) if ok else _no(Family.SUF)
+def _classify_suf(an):
+    nfa = to_nfa(an.dfa)
+    nfa.initials = frozenset(range(an.dfa.n_states))
+    return _holds(Family.SUF, subset(determinize(nfa), an.dfa))
 
 
 class _SearchCapHit(Exception):
@@ -500,11 +558,11 @@ class _Split:
         return None
 
 
-def _classify_ord(l, config):
-    dfa = l.dfa
+def _classify_ord(an):
+    dfa, config = an.dfa, an.config
     # an ordered automaton has an aperiodic transition monoid (ORD within
     # NC), so a counting language is out at any size
-    if aperiodicity_bound(dfa, cap=config.monoid_cap) is None:
+    if an.aperiodicity is None:
         return _no(Family.ORD, "transition monoid is not aperiodic")
     if dfa.n_states > config.ord_state_cap:
         return _unknown(Family.ORD,
@@ -560,10 +618,9 @@ def _one_swap_image(dfa: Dfa):
     return nfa
 
 
-def _classify_comm(l, config):
-    image = determinize(_one_swap_image(l.dfa))
-    ok = subset(image, l.dfa)
-    return _yes(Family.COMM) if ok else _no(Family.COMM)
+def _classify_comm(an):
+    return _holds(Family.COMM,
+                  subset(determinize(_one_swap_image(an.dfa)), an.dfa))
 
 
 def _rotate_image(dfa: Dfa):
@@ -585,10 +642,9 @@ def _rotate_image(dfa: Dfa):
     return nfa
 
 
-def _classify_circ(l, config):
-    image = determinize(_rotate_image(l.dfa))
-    ok = subset(image, l.dfa)
-    return _yes(Family.CIRC) if ok else _no(Family.CIRC)
+def _classify_circ(an):
+    return _holds(Family.CIRC,
+                  subset(determinize(_rotate_image(an.dfa)), an.dfa))
 
 
 def _power_profile(mapping, start):
@@ -606,20 +662,18 @@ def _power_profile(mapping, start):
         seq.append(s)
 
 
-def aperiodicity_bound(dfa: Dfa, cap: int = 10 ** 6):
-    """Smallest k with t^k = t^(k+1) for every transition-monoid element,
-    or None if some element is not eventually idempotent (i.e. the monoid
-    is not aperiodic)."""
-    n = dfa.n_states
+def aperiodicity_bound(monoid) -> int | None:
+    """Smallest k with t^k = t^(k+1) for every element t of a transition
+    monoid, or None if some element is not eventually idempotent (i.e.
+    the monoid is not aperiodic)."""
     bound = 1
-    for elem in transition_monoid(dfa, cap):
+    for elem in monoid:
         powers = {}
-        t = elem.mapping
-        power = t
+        t = power = elem.mapping
         i = 1
         while power not in powers:
             powers[power] = i
-            power = tuple(t[power[s]] for s in range(n))
+            power = tuple(t[q] for q in power)
             i += 1
         first = powers[power]
         cycle = i - first
@@ -630,21 +684,19 @@ def aperiodicity_bound(dfa: Dfa, cap: int = 10 ** 6):
 
 
 def is_aperiodic(dfa: Dfa, cap: int = 10 ** 6) -> bool:
-    return aperiodicity_bound(dfa, cap=cap) is not None
+    return aperiodicity_bound(transition_monoid(dfa, cap)) is not None
 
 
-def _classify_nc(l, config, family=Family.NC):
-    bound = aperiodicity_bound(l.dfa, cap=config.monoid_cap)
-    if bound is None:
-        return _no(family)
-    return _yes(family, {"bound": bound})
+def _classify_nc(an):
+    if an.aperiodicity is None:
+        return _no(Family.NC)
+    return _yes(Family.NC, {"bound": an.aperiodicity})
 
 
-def _classify_ps(l, config):
-    dfa = l.dfa
-    monoid = transition_monoid(dfa, config.monoid_cap)
+def _classify_ps(an):
+    dfa = an.dfa
     worst = 0
-    for elem in monoid:
+    for elem in an.monoid:
         seq, pre, period = _power_profile(elem.mapping, dfa.start)
         cycle_states = seq[pre:]
         accept = [s in dfa.finals for s in cycle_states]
@@ -654,10 +706,9 @@ def _classify_ps(l, config):
     return _yes(Family.PS, {"bound": worst + 1})
 
 
-def _classify_star(l, config):
-    starred = determinize(star_nfa(l.dfa))
-    if equivalent(l.dfa, starred):
-        return _yes(Family.STAR, {"H": l.text})
+def _classify_star(an):
+    if equivalent(an.dfa, determinize(star_nfa(an.dfa))):
+        return _yes(Family.STAR, {"H": an.l.text})
     return _no(Family.STAR)
 
 
@@ -684,21 +735,20 @@ def _stabilizer_word(dfa: Dfa):
     return None
 
 
-def _classify_rcom(l, config):
-    g = _stabilizer_word(l.dfa)
+def _classify_rcom(an):
+    g = _stabilizer_word(an.dfa)
     if g is None:
         return _no(Family.RCOM)
     # render(word_regex(g)) is g itself
-    return _yes(Family.RCOM, {"g": g, "G": g, "H": l.text})
+    return _yes(Family.RCOM, {"g": g, "G": g, "H": an.l.text})
 
 
-def _classify_lcom(l, config):
-    rev = determinize_minimize(reverse_nfa(l.dfa))
-    g = _stabilizer_word(rev)
+def _classify_lcom(an):
+    g = _stabilizer_word(determinize_minimize(reverse_nfa(an.dfa)))
     if g is None:
         return _no(Family.LCOM)
     g = g[::-1]  # orient for L = E G^*: L.g <= L
-    return _yes(Family.LCOM, {"g": g, "E": l.text, "G": g})
+    return _yes(Family.LCOM, {"g": g, "E": an.l.text, "G": g})
 
 
 def _image(states: int, column) -> int:
@@ -780,7 +830,7 @@ def _through(dfa: Dfa, states: int) -> bool:
     return True
 
 
-def _comet_set(dfa: Dfa, cap: int, every_letter: bool):
+def _comet_set(an: _Analysis, every_letter: bool):
     """(P, g, K) for the first closed state set P that is stable and covers
     L, with K the DFA of K_P; None when no closed set is both.
 
@@ -791,17 +841,13 @@ def _comet_set(dfa: Dfa, cap: int, every_letter: bool):
     stable and covers, because G* H <= K_P; its closure keeps both
     properties.  SYDEF (G = V*) is the case with P stable under every
     letter (g is None).  The closed sets, the images of P and each subset
-    construction are bounded by `cap`.
+    construction are bounded by `comet_state_cap`.
     """
-    n = dfa.n_states
-    columns = list(zip(*dfa.transitions))
-    # a covering P of a non-empty L holds no state with an empty residual;
-    # for an empty L the empty set comes first and covers
-    dead = sum(1 << q for q in set(range(n)) - automata.useful_states(dfa))
-    rejects = to_nfa(complement(dfa))
+    dfa, cap = an.dfa, an.config.comet_state_cap
     try:
-        for p in _closed_state_sets(dfa, columns, cap):
-            if p & dead or not _through(dfa, p):
+        columns, closed, rejects = an.comet_sets
+        for p in closed:
+            if not _through(dfa, p):
                 continue
             if every_letter:
                 g = None
@@ -811,28 +857,16 @@ def _comet_set(dfa: Dfa, cap: int, every_letter: bool):
                 g = _stable_word(dfa, columns, p, cap)
                 if g is None:
                     continue
-            members = frozenset(q for q in range(n) if p >> q & 1)
+            members = frozenset(q for q in range(dfa.n_states) if p >> q & 1)
             # K_P, the complement of what some state of P rejects
-            rejects.initials = members
-            k_dfa = complement(determinize(rejects, cap))
+            k_dfa = complement(determinize(replace(rejects, initials=members),
+                                           cap))
             e_dfa = Dfa(dfa.alphabet, dfa.transitions, dfa.start, members)
             if subset(dfa, determinize(concat_nfa(e_dfa, k_dfa), cap)):
                 return members, g, k_dfa
     except ResourceCapExceeded:
         raise ResourceCapExceeded(f"comet state cap {cap} exceeded") from None
     return None
-
-
-def _prior(l, config, decided, family):
-    """`family`'s verdict: the one in `decided` (`classify_all` decides
-    it first), else a fresh one.  An unknown one raises the cap that its
-    decider hit, as a fresh run would."""
-    if decided is None:
-        return _DECIDERS[family](l, config)
-    verdict = decided[family]
-    if verdict.outcome is Outcome.UNKNOWN:
-        raise ResourceCapExceeded(verdict.reason)
-    return verdict
 
 
 def _regex_text(l, dfa: Dfa) -> str:
@@ -842,26 +876,23 @@ def _regex_text(l, dfa: Dfa) -> str:
     return l.text if dfa == l.dfa else rx.render(dfa_to_regex(dfa))
 
 
-def _classify_twocom(l, config, decided=None):
+def _classify_twocom(an):
     """E G* H: exact for empty and finite L, a one-sided comet's
-    certificate when there is one, else the closed state set search.
-    `decided` holds the RCOM and LCOM verdicts when `classify_all` has
-    them."""
-    dfa = l.dfa
-    card = cardinality_class(dfa)
-    if card is CardinalityClass.EMPTY:
+    certificate when there is one, else the closed state set search."""
+    l, dfa = an.l, an.dfa
+    if an.cardinality is CardinalityClass.EMPTY:
         return _yes(Family.TWOCOM, {"E": "0", "G": l.alphabet[0], "H": "1"})
-    if card is CardinalityClass.FINITE_NONEMPTY:
+    if an.cardinality is CardinalityClass.FINITE_NONEMPTY:
         return _no(Family.TWOCOM, "finite non-empty languages are not comets")
-    r = _prior(l, config, decided, Family.RCOM)
+    r = an.read(Family.RCOM)
     if r.outcome is Outcome.YES:
         return _yes(Family.TWOCOM, {"E": "1", "G": r.certificate["g"],
                                     "H": l.text})
-    lv = _prior(l, config, decided, Family.LCOM)
+    lv = an.read(Family.LCOM)
     if lv.outcome is Outcome.YES:
         return _yes(Family.TWOCOM, {"E": l.text, "G": lv.certificate["g"],
                                     "H": "1"})
-    found = _comet_set(dfa, config.comet_state_cap, every_letter=False)
+    found = _comet_set(an, every_letter=False)
     if found is None:
         return _no(Family.TWOCOM, "no closed state set stable under a "
                                   "non-empty word covers L")
@@ -871,15 +902,13 @@ def _classify_twocom(l, config, decided=None):
                                 "H": _regex_text(l, k_dfa)})
 
 
-def _classify_sydef(l, config, decided=None):
-    """`decided` holds the PS verdict when `classify_all` has it."""
-    dfa = l.dfa
-    card = cardinality_class(dfa)
-    if card is CardinalityClass.FINITE_NONEMPTY:
+def _classify_sydef(an):
+    dfa = an.dfa
+    if an.cardinality is CardinalityClass.FINITE_NONEMPTY:
         return _no(Family.SYDEF, "E V* H is either empty or infinite")
-    if _prior(l, config, decided, Family.PS).outcome is Outcome.NO:
+    if an.read(Family.PS).outcome is Outcome.NO:
         return _no(Family.SYDEF, "not power-separating")
-    found = _comet_set(dfa, config.comet_state_cap, every_letter=True)
+    found = _comet_set(an, every_letter=True)
     if found is None:
         return _no(Family.SYDEF, "no closed state set stable under every "
                                  "letter covers L")
@@ -890,14 +919,14 @@ def _classify_sydef(l, config, decided=None):
     rows = [sink if s in members else row
             for s, row in enumerate(dfa.transitions)]
     first = Dfa(dfa.alphabet, (*rows, sink), dfa.start, members)
-    return _yes(Family.SYDEF, {"E": _regex_text(l, first),
-                               "H": _regex_text(l, k_dfa)})
+    return _yes(Family.SYDEF, {"E": _regex_text(an.l, first),
+                               "H": _regex_text(an.l, k_dfa)})
 
 
-def _classify_uf(l, config):
-    if rx.is_syntactically_union_free(l.regex):
-        return _yes(Family.UF, {"regex": l.text})
-    components = rx.union_normal_form(l.regex)
+def _classify_uf(an):
+    if rx.is_syntactically_union_free(an.l.regex):
+        return _yes(Family.UF, {"regex": an.l.text})
+    components = rx.union_normal_form(an.l.regex)
     if len(components) == 1:
         return _yes(Family.UF, {"regex": rx.render(components[0])})
     return _unknown(Family.UF, "source regex contains unions")
@@ -915,7 +944,8 @@ _DECIDERS = {
     Family.COMM: _classify_comm,
     Family.CIRC: _classify_circ,
     Family.NC: _classify_nc,
-    Family.SF: lambda l, c: _classify_nc(l, c, Family.SF),
+    # SF = NC (Schützenberger; McNaughton & Papert)
+    Family.SF: lambda an: replace(an.read(Family.NC), family=Family.SF),
     Family.PS: _classify_ps,
     Family.UF: _classify_uf,
     Family.STAR: _classify_star,
@@ -950,23 +980,13 @@ def _shared(cert: dict) -> dict:
     return cert
 
 
-# SYDEF reads the PS verdict and 2COM the RCOM and LCOM verdicts;
-# `classify_all` decides these two last and hands them its verdicts.
-_READERS = (Family.SYDEF, Family.TWOCOM)
-
-
 def classify(l: LanguageHandle, family: Family,
              config: ClassifierConfig = DEFAULT_CONFIG,
-             _decided: dict | None = None) -> Verdict:
+             _analysis: _Analysis | None = None) -> Verdict:
     """The family verdict; a search that exceeds a resource cap answers
-    Unknown with the cap as the reason."""
-    try:
-        if family in _READERS:
-            verdict = _DECIDERS[family](l, config, _decided)
-        else:
-            verdict = _DECIDERS[family](l, config)
-    except ResourceCapExceeded as exc:
-        return _unknown(family, str(exc))
+    Unknown with the cap as the reason.  `classify_all` passes the one
+    analysis of L that all its calls share."""
+    verdict = (_analysis or _Analysis(l, config)).decide(family)
     if verdict.certificate is not None and family in _DFA_ONLY:
         verdict.certificate = _shared(verdict.certificate)
     return verdict
@@ -999,12 +1019,12 @@ IMPLICATIONS = [
 
 def classify_all(l: LanguageHandle,
                  config: ClassifierConfig = DEFAULT_CONFIG) -> dict[Family, Verdict]:
-    verdicts = {}
-    for f in [*(f for f in Family if f not in _READERS), *_READERS]:
-        # SF = NC (Schützenberger; McNaughton & Papert): NC decides both
-        verdicts[f] = (replace(verdicts[Family.NC], family=f)
-                       if f is Family.SF else classify(l, f, config, verdicts))
-    verdicts = {f: verdicts[f] for f in Family}
+    analysis = _Analysis(l, config)
+    # SYDEF reads PS, and 2COM reads RCOM and LCOM: deciding the readers
+    # last keeps each decider's work inside its own family's call
+    for f in sorted(Family, key=lambda f: f in (Family.SYDEF, Family.TWOCOM)):
+        classify(l, f, config, analysis)
+    verdicts = {f: analysis.verdicts[f] for f in Family}
     for x, y in IMPLICATIONS:
         if (verdicts[x].outcome is Outcome.YES
                 and verdicts[y].outcome is Outcome.NO):
@@ -1116,7 +1136,10 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
             return _is_definite(dfa, k, config.monoid_cap)
         if family is Family.ORD:
             if "automaton" in cert:
-                machine = automata.dfa_from_text(cert["automaton"])
+                try:
+                    machine = automata.dfa_from_text(cert["automaton"])
+                except automata.AutomataError as exc:
+                    raise CertificateError(f"automaton: {exc}") from exc
                 if machine.alphabet != V or not equivalent(machine, dfa):
                     return False
             else:
@@ -1134,33 +1157,33 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
                             if pos[tp] > pos[tq]:
                                 return False
             return True
-        if family in (Family.NC, Family.SF):
-            k = cert["bound"]
-            n = dfa.n_states
-            for elem in transition_monoid(dfa, config.monoid_cap):
-                t = elem.mapping
-                power = tuple(range(n))
-                for _ in range(k):
-                    power = tuple(t[power[s]] for s in range(n))
-                nxt = tuple(t[power[s]] for s in range(n))
-                if power != nxt:
-                    return False
-            return True
+        if family not in (Family.NC, Family.SF, Family.PS):
+            raise CertificateError(f"family {family} carries no certificate")
+        k = cert["bound"]  # the deciders give k >= 1
+        if not isinstance(k, int) or k < 1:
+            raise CertificateError("bound must be a positive integer")
+        monoid = transition_monoid(dfa, config.monoid_cap)
         if family is Family.PS:
-            m = cert["bound"]
-            for elem in transition_monoid(dfa, config.monoid_cap):
+            for elem in monoid:
                 seq, pre, period = _power_profile(elem.mapping, dfa.start)
-                tail = seq[min(m - 1, len(seq) - period):]
+                tail = seq[min(k - 1, len(seq) - period):]
                 accept = [s in dfa.finals for s in tail]
                 if any(accept) and not all(accept):
                     return False
-                if pre + 1 > m and len({s in dfa.finals for s in seq[m - 1:]}) > 1:
+                if pre + 1 > k and len({s in dfa.finals for s in seq[k - 1:]}) > 1:
                     return False
             return True
+        for elem in monoid:
+            t = elem.mapping
+            power = tuple(range(dfa.n_states))
+            for _ in range(k):
+                power = tuple(t[q] for q in power)
+            if power != tuple(t[q] for q in power):
+                return False
+        return True
     except KeyError as exc:
         raise CertificateError(f"missing certificate field {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise CertificateError(f"ill-typed certificate field: {exc}") from exc
     except ResourceCapExceeded as exc:
         raise CertificateError(f"cannot check certificate: {exc}") from exc
-    raise CertificateError(f"family {family} carries no certificate")

@@ -69,6 +69,12 @@ class ContextualGrammar:
         return out
 
 
+def _text(word) -> str:
+    if not isinstance(word, str):
+        raise TypeError(f"word {word!r} is not text")
+    return word
+
+
 def grammar_from_json(data: dict) -> ContextualGrammar:
     try:
         alphabet = rx.make_alphabet(data["alphabet"])
@@ -76,7 +82,7 @@ def grammar_from_json(data: dict) -> ContextualGrammar:
         for entry in data["components"]:
             sel = entry["selection"]
             handle = LanguageHandle.from_text(sel["regex"], sel["alphabet"])
-            contexts = tuple(Context(c["u"], c["v"])
+            contexts = tuple(Context(_text(c["u"]), _text(c["v"]))
                              for c in entry["contexts"])
             certificates = {
                 cls.family_from_name(name): cert
@@ -85,8 +91,8 @@ def grammar_from_json(data: dict) -> ContextualGrammar:
             components.append(SelectionComponent(handle, contexts,
                                                  certificates))
         return ContextualGrammar(alphabet, tuple(components),
-                                 tuple(data["axioms"]))
-    except (KeyError, TypeError) as exc:
+                                 tuple(map(_text, data["axioms"])))
+    except (KeyError, TypeError, ValueError) as exc:
         raise GrammarError(f"malformed grammar description: {exc}") from exc
 
 

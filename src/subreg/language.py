@@ -60,9 +60,6 @@ class LanguageHandle:
     def accepts(self, word: str) -> bool:
         return self.dfa.accepts(word)
 
-    def reversed(self) -> "LanguageHandle":
-        return LanguageHandle(self.alphabet, rx.reverse_regex(self.regex), check=False)
-
     def __repr__(self) -> str:
         return f"LanguageHandle({rx.render(self.regex)!r}, alphabet={''.join(self.alphabet)})"
 

@@ -50,12 +50,10 @@ class TestCompileAndDeterminize:
 
 
 class TestBooleanOperations:
-    def test_complement_intersect_union(self):
-        x, y = dfa("(ab)*"), dfa("(a|b)(a|b)")
+    def test_complement(self):
+        x = dfa("(ab)*")
         for w in all_words(AB, 5):
             assert au.complement(x).accepts(w) == (not x.accepts(w))
-            assert au.intersect(x, y).accepts(w) == (
-                x.accepts(w) and y.accepts(w))
 
     def test_subset_and_equivalent(self):
         assert au.subset(dfa("(ab)*"), dfa("(a|b)*"))
@@ -65,7 +63,7 @@ class TestBooleanOperations:
 
     def test_alphabet_mismatch(self):
         with pytest.raises(au.AlphabetMismatchError):
-            au.intersect(dfa("a*", ("a",)), dfa("(ab)*"))
+            au.subset(dfa("a*", ("a",)), dfa("(ab)*"))
 
 
 class TestTransforms:
@@ -97,9 +95,9 @@ class TestTransforms:
 
     def test_residual_and_quotient(self):
         d = dfa("a*b")
-        assert au.equivalent(au.left_word_quotient(d, "a"), dfa("a*b"))
-        assert au.equivalent(au.left_word_quotient(d, "b"), dfa("1"))
-        assert au.equivalent(au.left_word_quotient(d, "ba"), dfa("0"))
+        assert au.equivalent(au.residual(d, d.run("a")), dfa("a*b"))
+        assert au.equivalent(au.residual(d, d.run("b")), dfa("1"))
+        assert au.equivalent(au.residual(d, d.run("ba")), dfa("0"))
 
 
 class TestCardinalityAndEnumeration:
@@ -153,6 +151,23 @@ class TestTextFormats:
         d = dfa("(a|b)*ab")
         again = au.dfa_from_text(au.dfa_to_text(d))
         assert again == d
+
+    @pytest.mark.parametrize("text", [
+        "initial 0\naccepting 0\n0 a 5\n0 b 0\n",
+        "initial 0\naccepting 0\n0 a 0\n0 b -1\n",
+        "initial 0\naccepting 0\n0 a 0\n0 b 0\n3 a 0\n",
+        "initial 2\naccepting 0\n0 a 0\n0 b 0\n",
+        "initial 0\naccepting 1\n0 a 0\n0 b 0\n",
+    ], ids=["move", "negative_move", "source", "initial", "accepting"])
+    def test_state_out_of_range_is_rejected(self, text):
+        with pytest.raises(au.AutomataError, match="not in range"):
+            au.dfa_from_text("alphabet ab\nstates 1\n" + text)
+
+    def test_state_count_beyond_the_moves_listed_is_rejected(self):
+        # rejected before any row is built
+        with pytest.raises(au.AutomataError, match="truncated"):
+            au.dfa_from_text("alphabet ab\nstates 100000\ninitial 0\n"
+                             "accepting 0\n0 a 0\n0 b 0\n")
 
     def test_dfa_to_regex_round_trip(self):
         for text in ("(ab)*", "(a|b)*b", "a*", "0", "1"):

@@ -141,6 +141,41 @@ class TestCertificates:
         with pytest.raises(cl.CertificateError):
             cl.verify_certificate(lang("(ab)*"), family, cert)
 
+    @pytest.mark.parametrize("family,text,alphabet,bound", [
+        (Family.PS, "a", "a", 0),
+        (Family.PS, "aa", "a", 0),
+        (Family.PS, "a|aaa", "a", 0),
+        (Family.NC, "(a|b)*b", "ab", -1),
+        (Family.SF, "(a|b)*b", "ab", 0),
+        (Family.PS, "(a|b)*b", "ab", "2"),
+    ], ids=["PS_a", "PS_aa", "PS_a_or_aaa", "NC_negative", "SF_zero",
+            "PS_text"])
+    def test_bound_that_is_not_a_positive_integer_raises(
+            self, family, text, alphabet, bound):
+        h = lang(text, alphabet)
+        v = cl.classify(h, family)
+        assert v.certificate["bound"] >= 1
+        assert cl.verify_certificate(h, family, v.certificate)
+        with pytest.raises(cl.CertificateError):
+            cl.verify_certificate(h, family, {"bound": bound})
+
+    def test_ps_bound_below_the_deciders_is_rejected(self):
+        h = lang("a", "a")
+        assert cl.classify(h, Family.PS).certificate == {"bound": 2}
+        assert not cl.verify_certificate(h, Family.PS, {"bound": 1})
+
+    @pytest.mark.parametrize("text", [
+        "garbage",
+        "alphabet ab\nstates x\ninitial 0\naccepting 0\n0 a 0\n0 b 0\n",
+        "alphabet ab\nstates 1\ninitial 0\naccepting 0\n0 a 0\n0 c 0\n",
+        "alphabet ab\nstates 1\ninitial 0\naccepting 0\n0 a 5\n0 b 0\n",
+    ], ids=["garbage", "state_count_not_a_number", "letter_outside_alphabet",
+            "move_out_of_range"])
+    def test_malformed_ord_automaton_raises(self, text):
+        with pytest.raises(cl.CertificateError):
+            cl.verify_certificate(lang("(ab)*"), Family.ORD,
+                                  {"order": [0], "automaton": text})
+
     def test_trivial_middle_rejected(self):
         h = lang("1", "a")
         assert not cl.verify_certificate(
@@ -334,9 +369,9 @@ class TestClassifyAll:
         for f in (Family.PS, Family.RCOM, Family.LCOM):
             decide = cl._DECIDERS[f]
 
-            def counting(l, config, f=f, decide=decide):
+            def counting(analysis, f=f, decide=decide):
                 calls.append(f)
-                return decide(l, config)
+                return decide(analysis)
 
             # SYDEF and 2COM may reach a decider by either name
             monkeypatch.setitem(cl._DECIDERS, f, counting)
@@ -347,6 +382,24 @@ class TestClassifyAll:
             Family.PS, Family.LCOM, Family.RCOM]
         for f, v in alone.items():
             assert verdicts[f] == v
+
+    def test_each_shared_fact_is_built_once(self, monkeypatch):
+        # NC, PS and ORD read one monoid; FIN, NIL, SYDEF and 2COM one
+        # cardinality; SYDEF and 2COM one family of closed state sets
+        h = lang("c(ab)*c", "abc")
+        calls = []
+        for name in ("transition_monoid", "aperiodicity_bound",
+                     "cardinality_class", "_closed_state_sets"):
+            def counting(first, *args, name=name, fn=getattr(cl, name),
+                         **kwargs):
+                calls.append((name, first is h.dfa))
+                return fn(first, *args, **kwargs)
+            monkeypatch.setattr(cl, name, counting)
+        cl.classify_all(h)
+        assert calls.count(("transition_monoid", True)) == 1
+        assert [n for n, _ in calls].count("aperiodicity_bound") == 1
+        assert calls.count(("cardinality_class", True)) == 1
+        assert calls.count(("_closed_state_sets", True)) == 1
 
     def test_sydef_reads_an_unknown_ps_as_its_cap(self):
         cfg = dataclasses.replace(DEFAULT_CONFIG, monoid_cap=2)

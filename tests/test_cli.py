@@ -85,7 +85,7 @@ class TestClassify:
                                                         monkeypatch):
         # NC = no beside ORD = yes breaks the ORD => NC implication
         monkeypatch.setitem(cls._DECIDERS, Family.NC,
-                            lambda l, config: cls._no(Family.NC))
+                            lambda analysis: cls._no(Family.NC))
         code, out, err = run(capsys, "classify", "(ab)*", "--alphabet", "ab")
         assert code == 1 and out == ""
         assert err == "error: ORD = yes but NC = no for (ab)*\n"
@@ -182,6 +182,20 @@ class TestGrammar:
         code, _, _ = run(capsys, "grammar", "validate", str(p))
         assert code == 2
 
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["components"][0].update(certificates={"XYZ": {}}),
+        lambda d: d["components"][0]["contexts"][0].update(u=1),
+        lambda d: d.update(axioms=[1]),
+    ], ids=["unknown_family", "context_not_text", "axiom_not_text"])
+    def test_malformed_grammar_is_input_error(self, capsys, tmp_path, edit):
+        data = gr.fixtures()["ex1"].to_json()
+        edit(data)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, "grammar", "validate", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 class TestHierarchy:
     def test_query(self, capsys):

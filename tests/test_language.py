@@ -22,10 +22,6 @@ class TestLanguageHandle:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
-    def test_reversed(self):
-        h = LanguageHandle.from_text("a*b", ("a", "b"))
-        assert h.reversed().words(3) == ["b", "ba", "baa"]
-
     def test_dfa_is_minimal_and_cached(self):
         h = LanguageHandle.from_text("(a|b)*b", ("a", "b"))
         assert h.dfa is h.dfa
