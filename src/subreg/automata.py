@@ -1,12 +1,15 @@
 """Finite automata: construction, boolean algebra, minimization, queries.
 
 A regex becomes its position automaton (``compile_regex``), an NFA with
-one state per letter occurrence plus a start state.  No automaton here
+one state per letter occurrence plus a start state.  An NFA keeps its
+moves as one list of int bitmasks per letter: bit t of
+``moves[i][p]`` is set when p reads ``alphabet[i]`` into t, so the
+successors of a whole state set are one OR of masks.  No automaton here
 has empty moves: the rational operations on NFAs (``concat_nfa``,
 ``union_nfa``, ``star_nfa``, ``reverse_nfa``) copy initial moves instead.
-``determinize`` is the one subset construction, ``reachable`` the one
-forward reachability helper and ``distance_to_final`` the one backward
-one.
+``determinize`` is the one subset construction, over int subsets;
+``reachable`` is the one forward reachability helper and
+``distance_to_final`` the one backward one.
 
 DFAs are always complete (an explicit sink is added where needed) and,
 after ``minimize``, canonically numbered by breadth-first order over the
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .regex import (
     EMPTY,
@@ -55,85 +58,104 @@ def _check_same_alphabet(a, b):
 # NFA
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask(states) -> int:
+    return sum(1 << s for s in states)
+
+
 @dataclass
 class Nfa:
     """Nondeterministic automaton without empty moves.
 
     States are dense integers 0..n_states-1; several states may be
-    initial.  The empty word is accepted exactly when an initial state is
-    final.
+    initial.  ``moves[i][p]`` is the bitmask of the states that p reaches
+    on ``alphabet[i]`` (all zero unless given).  The empty word is
+    accepted exactly when an initial state is final.
     """
 
     n_states: int
     alphabet: tuple[str, ...]
-    moves: dict[tuple[int, str], set[int]] = field(default_factory=dict)
+    moves: list[list[int]] | None = None
     initials: frozenset[int] = frozenset()
     finals: frozenset[int] = frozenset()
 
+    def __post_init__(self):
+        if self.moves is None:
+            self.moves = [[0] * self.n_states for _ in self.alphabet]
+
     def add(self, src: int, letter: str, dst: int) -> None:
-        self.moves.setdefault((src, letter), set()).add(dst)
+        self.moves[self.alphabet.index(letter)][src] |= 1 << dst
 
 
 def compile_regex(r: Regex, alphabet: tuple[str, ...]) -> Nfa:
     """Position automaton (Glushkov; Berry & Sethi 1986) of a regex.
 
     State 0 is the start and state p >= 1 is the p-th letter occurrence,
-    counted from the left; every move into p reads p's letter.  Nullable,
-    first, last and follow sets are computed bottom-up over an explicit
-    stack, so tree depth is not limited by the interpreter's recursion
-    limit.
+    counted from the left; every move into p reads p's letter, so the
+    moves on a letter are the follow masks cut to that letter's
+    positions.  Nullable, first (a mask), last (a tuple of positions) and
+    follow masks are computed bottom-up over an explicit stack, so tree
+    depth is not limited by the interpreter's recursion limit.
     """
-    letters = [None]  # letters[p] is the letter of position p
-    follow: list[set[int]] = [set()]
+    positions = dict.fromkeys(alphabet, 0)  # the mask of each letter's positions
+    follow = [0]  # follow[0] is filled with the first mask at the end
     missing = set()
     results = []  # (nullable, first, last) per finished subtree
-    stack = [(r, False)]
+    stack = [r]  # a None marks that the node below it has finished subtrees
     while stack:
-        node, done = stack.pop()
-        if isinstance(node, Sym):
-            if node.letter not in alphabet:
-                missing.add(node.letter)
-            p = len(letters)
-            letters.append(node.letter)
-            follow.append(set())
-            results.append((False, {p}, {p}))
-        elif isinstance(node, Empty):
-            results.append((False, set(), set()))
-        elif not done:
-            stack.append((node, True))
-            if isinstance(node, Star):
-                stack.append((node.inner, False))
-            elif isinstance(node, (Cat, Union)):
-                # right first, so the left subtree numbers its letters first
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-            else:
-                raise TypeError(f"not a regex node: {node!r}")
-        elif isinstance(node, Star):
-            _, first, last = results.pop()
-            for p in last:
-                follow[p] |= first
-            results.append((True, first, last))
-        else:
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
+            if type(node) is Star:
+                _, first, last = results[-1]
+                for p in last:
+                    follow[p] |= first
+                results[-1] = (True, first, last)
+                continue
             nr, fr, lr = results.pop()
             nl, fl, ll = results.pop()
-            if isinstance(node, Union):
-                results.append((nl or nr, fl | fr, ll | lr))
+            if type(node) is Union:
+                results.append((nl or nr, fl | fr, ll + lr))
             else:
                 for p in ll:
                     follow[p] |= fr
                 results.append((nl and nr, fl | fr if nl else fl,
-                                ll | lr if nr else lr))
+                                ll + lr if nr else lr))
+            continue
+        kind = type(node)
+        if kind is Sym:
+            p = len(follow)
+            follow.append(0)
+            if node.letter in positions:
+                positions[node.letter] |= 1 << p
+            else:
+                missing.add(node.letter)
+            results.append((False, 1 << p, (p,)))
+        elif kind is Cat or kind is Union:
+            # right first, so the left subtree numbers its letters first
+            stack += (node, None, node.right, node.left)
+        elif kind is Star:
+            stack += (node, None, node.inner)
+        elif kind is Empty:
+            results.append((False, 0, ()))
+        else:
+            raise TypeError(f"not a regex node: {node!r}")
     if missing:
         raise AlphabetMismatchError(f"letters {sorted(missing)} not in alphabet")
     nullable, first, last = results.pop()
-    nfa = Nfa(len(letters), alphabet)
-    for p, targets in enumerate([first] + follow[1:]):
-        for q in targets:
-            nfa.add(p, letters[q], q)
-    nfa.initials = frozenset({0})
-    nfa.finals = frozenset(last | {0} if nullable else last)
-    return nfa
+    follow[0] = first
+    return Nfa(len(follow), alphabet,
+               [[f & m for f in follow] for m in positions.values()],
+               frozenset({0}), frozenset(last + (0,) if nullable else last))
 
 
 # ---------------------------------------------------------------------------
@@ -167,90 +189,84 @@ class Dfa:
 
 
 def to_nfa(dfa: Dfa) -> Nfa:
-    nfa = Nfa(dfa.n_states, dfa.alphabet)
-    for s, row in enumerate(dfa.transitions):
-        for i, t in enumerate(row):
-            nfa.add(s, dfa.alphabet[i], t)
-    nfa.initials = frozenset({dfa.start})
-    nfa.finals = dfa.finals
-    return nfa
+    return Nfa(dfa.n_states, dfa.alphabet,
+               [[1 << t for t in column] for column in zip(*dfa.transitions)],
+               frozenset({dfa.start}), dfa.finals)
 
 
 def determinize(nfa: Nfa, cap: int = 10 ** 6) -> Dfa:
-    """Subset construction over the reachable subsets; the result is
-    complete (the empty subset acts as the sink).  Raises
+    """Subset construction over the reachable subsets, each an int mask;
+    the result is complete (the empty subset acts as the sink).  Raises
     ResourceCapExceeded when it would exceed `cap` states."""
-    start = frozenset(nfa.initials)
-    ids: dict[frozenset[int], int] = {start: 0}
+    start = _mask(nfa.initials)
+    ids = {start: 0}
     order = [start]
-    rows: list[tuple[int, ...]] = []
+    rows = []
     for cur in order:  # grows while it is read: breadth-first numbering
+        states = _bits(cur)
         row = []
-        for a in nfa.alphabet:
-            nxt = frozenset().union(*[nfa.moves.get((s, a), ()) for s in cur])
-            if nxt not in ids:
+        for column in nfa.moves:
+            nxt = 0
+            for p in states:
+                nxt |= column[p]
+            j = ids.get(nxt)
+            if j is None:
                 if len(ids) >= cap:
                     raise ResourceCapExceeded(f"subset construction exceeds cap {cap}")
-                ids[nxt] = len(ids)
+                j = ids[nxt] = len(order)
                 order.append(nxt)
-            row.append(ids[nxt])
+            row.append(j)
         rows.append(tuple(row))
-    finals = frozenset(i for i, subset in enumerate(order) if subset & nfa.finals)
-    return Dfa(nfa.alphabet, tuple(rows), 0, finals)
+    finals = _mask(nfa.finals)
+    return Dfa(nfa.alphabet, tuple(rows), 0,
+               frozenset(i for i, subset in enumerate(order) if subset & finals))
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Partition-refinement minimization plus canonical BFS renumbering."""
-    # restrict to the reachable part
+    """Moore partition refinement of the reachable part plus canonical
+    BFS renumbering."""
     reach = reachable(dfa)
-    states = sorted(reach)
-    remap = {s: i for i, s in enumerate(states)}
-    trans = [[remap[dfa.transitions[s][i]] for i in range(len(dfa.alphabet))]
-             for s in states]
-    finals = {remap[s] for s in reach & dfa.finals}
-    n = len(states)
-    start = remap[dfa.start]
+    trans, finals, start = dfa.transitions, dfa.finals, dfa.start
+    if len(reach) < dfa.n_states:
+        states = sorted(reach)
+        remap = {s: i for i, s in enumerate(states)}
+        trans = [tuple(remap[t] for t in trans[s]) for s in states]
+        finals = frozenset(remap[s] for s in reach & finals)
+        start = remap[start]
+    n = len(trans)
+    columns = list(zip(*trans))
 
-    # Moore refinement
-    block = [1 if s in finals else 0 for s in range(n)]
-    while True:
+    # Moore refinement: a state's signature is its block and its
+    # successors' blocks; refining only splits blocks, so the partition is
+    # stable once their count stops growing
+    block = [s in finals for s in range(n)]
+    count = len(set(block))
+    while count < n:
         sigs = {}
-        new_block = [0] * n
-        for s in range(n):
-            sig = (block[s], tuple(block[t] for t in trans[s]))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block[s] = sigs[sig]
-        if new_block == block:
+        block = [sigs.setdefault(sig, len(sigs)) for sig in
+                 zip(block, *[list(map(block.__getitem__, c)) for c in columns])]
+        if len(sigs) == count:
             break
-        block = new_block
+        count = len(sigs)
 
-    n_blocks = max(block) + 1
-    reps = [None] * n_blocks
-    for s in range(n):
-        if reps[block[s]] is None:
-            reps[block[s]] = s
-
+    reps = {}
+    for s, b in enumerate(block):
+        reps.setdefault(b, s)
     # canonical numbering: BFS from the start block over sorted letters
-    bfs_id = {block[start]: 0}
-    queue = deque([block[start]])
-    while queue:
-        b = queue.popleft()
-        rep = reps[b]
-        for i in range(len(dfa.alphabet)):
-            tb = block[trans[rep][i]]
-            if tb not in bfs_id:
-                bfs_id[tb] = len(bfs_id)
-                queue.append(tb)
-    rows = [None] * len(bfs_id)
-    final_blocks = set()
-    for b, i in bfs_id.items():
-        rep = reps[b]
-        rows[i] = _shared(tuple(bfs_id[block[trans[rep][j]]]
-                                for j in range(len(dfa.alphabet))))
-        if rep in finals:
-            final_blocks.add(i)
-    return Dfa(dfa.alphabet, tuple(rows), 0, _shared(frozenset(final_blocks)))
+    ids = {block[start]: 0}
+    order = [block[start]]
+    rows = []
+    for b in order:
+        row = []
+        for t in trans[reps[b]]:
+            i = ids.get(block[t])
+            if i is None:
+                i = ids[block[t]] = len(order)
+                order.append(block[t])
+            row.append(i)
+        rows.append(_shared(tuple(row)))
+    return Dfa(dfa.alphabet, tuple(rows), 0, _shared(frozenset(
+        i for i, b in enumerate(order) if reps[b] in finals)))
 
 
 # Minimal DFAs share equal rows and final sets, as interned strings do: a
@@ -395,12 +411,11 @@ def _shifted(a: Nfa | Dfa, by: int) -> Nfa:
     """A fresh NFA copy of `a` with every state number raised by `by`;
     states below `by` are left free for the caller."""
     a = to_nfa(a) if isinstance(a, Dfa) else a
-    out = Nfa(a.n_states + by, a.alphabet)
-    for (s, letter), ts in a.moves.items():
-        out.moves[(s + by, letter)] = {t + by for t in ts}
-    out.initials = frozenset(s + by for s in a.initials)
-    out.finals = frozenset(s + by for s in a.finals)
-    return out
+    pad = [0] * by
+    return Nfa(a.n_states + by, a.alphabet,
+               [pad + [m << by for m in column] for column in a.moves],
+               frozenset(s + by for s in a.initials),
+               frozenset(s + by for s in a.finals))
 
 
 def _side_by_side(a: Nfa | Dfa, b: Nfa | Dfa) -> tuple[Nfa, Nfa, Nfa]:
@@ -409,20 +424,19 @@ def _side_by_side(a: Nfa | Dfa, b: Nfa | Dfa) -> tuple[Nfa, Nfa, Nfa]:
     a = _shifted(a, 0)
     b = _shifted(b, a.n_states)
     _check_same_alphabet(a, b)
-    return Nfa(b.n_states, a.alphabet, {**a.moves, **b.moves}), a, b
+    moves = [ca + cb[a.n_states:] for ca, cb in zip(a.moves, b.moves)]
+    return Nfa(b.n_states, a.alphabet, moves), a, b
 
 
 def _restart(nfa: Nfa, sources, initials) -> None:
     """Give every state in `sources` the moves of the states in
     `initials`, so a word may start over there without an empty move."""
-    first = {}
-    for i in initials:
-        for letter in nfa.alphabet:
-            first.setdefault(letter, set()).update(nfa.moves.get((i, letter), ()))
-    for s in sources:
-        for letter, ts in first.items():
-            if ts:
-                nfa.moves.setdefault((s, letter), set()).update(ts)
+    for column in nfa.moves:
+        first = 0
+        for i in initials:
+            first |= column[i]
+        for s in sources:
+            column[s] |= first
 
 
 def concat_nfa(a: Nfa | Dfa, b: Nfa | Dfa) -> Nfa:
@@ -441,21 +455,20 @@ def union_nfa(a: Nfa | Dfa, b: Nfa | Dfa) -> Nfa:
 
 
 def star_nfa(a: Nfa | Dfa) -> Nfa:
-    out = _shifted(a, 0)
-    hub = out.n_states
-    out.n_states += 1
-    _restart(out, out.finals | {hub}, out.initials)
-    out.initials = frozenset({hub})
-    out.finals = out.finals | {hub}
+    out = _shifted(a, 1)  # state 0 is the hub
+    _restart(out, out.finals | {0}, out.initials)
+    out.initials = frozenset({0})
+    out.finals = out.finals | {0}
     return out
 
 
 def reverse_nfa(a: Nfa | Dfa) -> Nfa:
     a = to_nfa(a) if isinstance(a, Dfa) else a
     out = Nfa(a.n_states, a.alphabet)
-    for (s, l), ts in a.moves.items():
-        for t in ts:
-            out.add(t, l, s)
+    for column, back in zip(a.moves, out.moves):
+        for s, targets in enumerate(column):
+            for t in _bits(targets):
+                back[t] |= 1 << s
     out.initials = a.finals
     out.finals = a.initials
     return out

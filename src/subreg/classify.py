@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from . import automata, regex as rx
 from .automata import (
@@ -24,6 +23,7 @@ from .automata import (
     Dfa,
     ResourceCapExceeded,
     cardinality_class,
+    compile_regex,
     complement,
     concat_nfa,
     determinize,
@@ -142,17 +142,41 @@ def _holds(family, ok: bool) -> Verdict:
     return _yes(family) if ok else _no(family)
 
 
+class _fact:
+    """A fact of `_Analysis`, built on first read and kept.  A build that
+    hits a cap keeps that cap: every later read raises it again, without
+    building again, so each reader answers Unknown alike."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __get__(self, analysis, owner=None):
+        if analysis is None:
+            return self
+        facts = analysis.facts
+        if self.build not in facts:
+            try:
+                facts[self.build] = self.build(analysis), None
+            except ResourceCapExceeded as exc:
+                facts[self.build] = None, str(exc)
+        value, cap = facts[self.build]
+        if cap is not None:
+            raise ResourceCapExceeded(cap)
+        return value
+
+
 class _Analysis:
     """L, its minimal DFA and the config for one `classify` or
     `classify_all` call, with the verdicts decided so far and the facts
-    that several deciders share, each built on first use.  A fact that
-    hits a cap is not kept, so each reader answers Unknown alike."""
+    that several deciders share, each built on first use (`_fact`)."""
 
     def __init__(self, l: LanguageHandle, config: ClassifierConfig):
         self.l = l
         self.dfa = l.dfa
         self.config = config
         self.verdicts: dict[Family, Verdict] = {}
+        self.facts: dict = {}  # build -> (value, cap hit)
 
     def decide(self, family: Family) -> Verdict:
         """`family`'s verdict, decided once; a cap hit is Unknown."""
@@ -171,22 +195,22 @@ class _Analysis:
             raise ResourceCapExceeded(verdict.reason)
         return verdict
 
-    @cached_property
+    @_fact
     def monoid(self) -> list:
         """The transition monoid (NC, PS, and ORD through `aperiodicity`)."""
         return transition_monoid(self.dfa, self.config.monoid_cap)
 
-    @cached_property
+    @_fact
     def aperiodicity(self) -> int | None:
         """`aperiodicity_bound` of the monoid (NC and ORD)."""
         return aperiodicity_bound(self.monoid)
 
-    @cached_property
+    @_fact
     def cardinality(self) -> CardinalityClass:
         """How many words L has (FIN, NIL, SYDEF and 2COM)."""
         return cardinality_class(self.dfa)
 
-    @cached_property
+    @_fact
     def comet_sets(self):
         """(columns, closed, rejects) for `_comet_set` (SYDEF and 2COM):
         the letter columns, the closed state sets free of states with an
@@ -1045,12 +1069,7 @@ def _lang_regex(value, alphabet) -> rx.Regex:
     if isinstance(value, str):
         return rx.parse_regex(value, alphabet)
     if isinstance(value, (list, tuple, set, frozenset)):
-        r = rx.finite_language_regex(value)
-        extra = set().union(*value) - set(alphabet)
-        if extra:
-            raise automata.AlphabetMismatchError(
-                f"letters {sorted(extra)} not in alphabet")
-        return r
+        return rx.finite_language_regex(value)
     raise CertificateError(f"cannot interpret language value {value!r}")
 
 
@@ -1128,7 +1147,7 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
             if family is Family.UF and not rx.is_syntactically_union_free(e):
                 return False
             expr = rx.union(a, rx.cat(e, rx.cat(rx.star(g), h)))
-            return equivalent(automata.dfa_of(expr, V), dfa)
+            return equivalent(determinize(compile_regex(expr, V)), dfa)
         if family is Family.DEF:
             k = cert["window"]
             if not isinstance(k, int) or k < 0:
@@ -1187,3 +1206,5 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
         raise CertificateError(f"ill-typed certificate field: {exc}") from exc
     except ResourceCapExceeded as exc:
         raise CertificateError(f"cannot check certificate: {exc}") from exc
+    except (rx.RegexError, automata.AlphabetMismatchError) as exc:
+        raise CertificateError(f"bad certificate language: {exc}") from exc

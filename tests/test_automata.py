@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_golden import regex_pool
 
 from subreg import automata as au, regex as rx
 
@@ -82,6 +84,16 @@ class TestTransforms:
         assert au.determinize(nfa).n_states == 9
         with pytest.raises(au.ResourceCapExceeded):
             au.determinize(nfa, cap=8)
+
+    def test_canonical_dfas_are_pinned(self):
+        # recorded with the frozenset subset construction, before the
+        # moves became bitmasks: every regex of at most 7 nodes
+        digest = hashlib.sha256()
+        for _, regexes in sorted(regex_pool(7).items()):
+            for r in regexes:
+                digest.update(au.dfa_to_text(au.dfa_of(r, AB)).encode())
+        assert digest.hexdigest() == (
+            "4d1c3da2e907f12e48aa7ee1a661b9fcccd4a9ad9661168c51702b71799f532d")
 
     def test_position_automaton_of_deep_tree(self):
         # deeper than the interpreter's recursion limit
@@ -199,6 +211,39 @@ def test_dfa_agrees_with_word_oracle(r):
     oracle = rx.words_up_to(r, 5)
     for w in all_words(AB, 5):
         assert d.accepts(w) == (w in oracle)
+
+
+@st.composite
+def nfas(draw):
+    """(NFA, its moves, initials, finals) over {a,b,c}; c never moves."""
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    moves = draw(st.lists(st.tuples(state, st.sampled_from("ab"), state),
+                          max_size=14))
+    initials = draw(st.frozensets(state, max_size=3))
+    finals = draw(st.frozensets(state))
+    nfa = au.Nfa(n, ("a", "b", "c"), initials=initials, finals=finals)
+    for src, letter, dst in moves:
+        nfa.add(src, letter, dst)
+    return nfa, moves, initials, finals
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas())
+def test_determinize_is_the_frozenset_subset_construction(drawn):
+    nfa, moves, initials, finals = drawn
+    order, rows = [initials], []
+    for cur in order:
+        row = []
+        for a in nfa.alphabet:
+            nxt = frozenset(t for s, b, t in moves if s in cur and b == a)
+            if nxt not in order:
+                order.append(nxt)
+            row.append(order.index(nxt))
+        rows.append(tuple(row))
+    d = au.determinize(nfa)
+    assert d.start == 0 and d.transitions == tuple(rows)
+    assert d.finals == {i for i, subset in enumerate(order) if subset & finals}
 
 
 def operands(r):

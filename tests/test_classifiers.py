@@ -176,6 +176,16 @@ class TestCertificates:
             cl.verify_certificate(lang("(ab)*"), Family.ORD,
                                   {"order": [0], "automaton": text})
 
+    @pytest.mark.parametrize("family,cert", [
+        (Family.SYDEF, {"E": ["z"], "H": "1"}),
+        (Family.SYDEF, {"E": "((", "H": "1"}),
+        (Family.TWOCOM, {"E": "1", "G": "c", "H": "1"}),
+    ], ids=["word_outside_alphabet", "bad_regex_text",
+            "regex_letter_outside_alphabet"])
+    def test_bad_certificate_language_raises(self, family, cert):
+        with pytest.raises(cl.CertificateError):
+            cl.verify_certificate(lang("(a|b)*b"), family, cert)
+
     def test_trivial_middle_rejected(self):
         h = lang("1", "a")
         assert not cl.verify_certificate(
@@ -400,6 +410,21 @@ class TestClassifyAll:
         assert [n for n, _ in calls].count("aperiodicity_bound") == 1
         assert calls.count(("cardinality_class", True)) == 1
         assert calls.count(("_closed_state_sets", True)) == 1
+
+    def test_a_capped_monoid_build_is_kept(self, monkeypatch):
+        # NC, PS and ORD read one monoid build, even one that hit the cap
+        cfg = dataclasses.replace(DEFAULT_CONFIG, monoid_cap=2)
+        calls = []
+
+        def counting(*args, fn=cl.transition_monoid, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cl, "transition_monoid", counting)
+        verdicts = cl.classify_all(lang("(a|b)*b"), cfg)
+        assert len(calls) == 1
+        for family in (Family.NC, Family.PS, Family.ORD):
+            assert verdicts[family] == cl._unknown(
+                family, "transition monoid exceeds cap 2")
 
     def test_sydef_reads_an_unknown_ps_as_its_cap(self):
         cfg = dataclasses.replace(DEFAULT_CONFIG, monoid_cap=2)
