@@ -593,6 +593,48 @@ class TestCometOracle:
             [(58, 996), (1042, 12)]
 
 
+# ---------------------------------------------------------------------------
+# MON, SUF, COMM, CIRC and STAR against their definitions
+
+
+def _closures_by_words(dfa: Dfa, most: int = 6) -> dict:
+    """Each closure family's definition, checked by membership on every
+    word of length <= `most` (5 already agrees on every DFA of at most
+    three states over {a,b})."""
+    words = list(au.all_words(dfa.alphabet, most))
+    l = {w for w in words if dfa.accepts(w)}
+    return {
+        Family.MON: len(l) == len(words),
+        Family.SUF: all(w[1:] in l for w in l),
+        # a swap is its own inverse, so swapping the words of L suffices
+        Family.COMM: all(w[:i] + w[i + 1] + w[i] + w[i + 2:] in l
+                         for w in l for i in range(len(w) - 1)),
+        Family.CIRC: all(w[1:] + w[:1] in l for w in l),
+        Family.STAR: "" in l and all(u + v in l for u in l for v in l
+                                     if len(u) + len(v) <= most),
+    }
+
+
+class TestClosureOracle:
+    def test_every_minimal_dfa_up_to_three_states(self):
+        dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
+        yes = dict.fromkeys(map(Family, ("MON", "SUF", "COMM", "CIRC",
+                                         "STAR")), 0)
+        for dfa in dfas:
+            h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
+            for family, holds in _closures_by_words(dfa).items():
+                v = cl.classify(h, family)
+                assert (v.outcome is Outcome.YES) == holds, \
+                    (family, au.dfa_to_text(dfa))
+                if holds:
+                    yes[family] += 1
+                    if v.certificate is not None:
+                        assert cl.verify_certificate(h, family, v.certificate)
+        assert len(dfas) == 1054
+        assert {f.value: n for f, n in yes.items()} == {
+            "MON": 1, "SUF": 42, "COMM": 80, "CIRC": 80, "STAR": 199}
+
+
 class TestOrderedOracle:
     def test_every_minimal_dfa_up_to_three_states(self):
         dfas = set()

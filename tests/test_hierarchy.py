@@ -25,6 +25,12 @@ class TestGraphQueries:
         assert FIG2.query("EC(STAR)", "EC(REG)") is Relation.PROPER_SUBSET
         assert FIG2.query("EC(SYDEF)", "EC(ORD)") is Relation.INCOMPARABLE
 
+    def test_implications_are_fig1s_family_edges(self):
+        # STAR -> UF is not enforced, since UF never answers no
+        edges = {(cl.Family(e.src), cl.Family(e.dst)) for e in FIG1.edges
+                 if "REG" not in (e.src, e.dst)}
+        assert set(cl.IMPLICATIONS) | {(cl.Family.STAR, cl.Family.UF)} == edges
+
     def test_unknown_node_raises(self):
         with pytest.raises(hi.HierarchyError):
             FIG1.query("NOPE", "REG")
