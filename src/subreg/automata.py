@@ -5,8 +5,9 @@ one state per letter occurrence plus a start state.  An NFA keeps its
 moves as one list of int bitmasks per letter: bit t of
 ``moves[i][p]`` is set when p reads ``alphabet[i]`` into t, so the
 successors of a whole state set are one OR of masks.  No automaton here
-has empty moves: the rational operations on NFAs (``concat_nfa``,
-``union_nfa``, ``star_nfa``, ``reverse_nfa``) copy initial moves instead.
+has empty moves.  The rational operations on NFAs are concatenation
+(``concat_nfa``), which copies initial moves instead, and reversal
+(``reverse_nfa``).
 ``determinize`` is the one subset construction, over int subsets;
 ``reachable`` is the one forward reachability helper and
 ``distance_to_final`` the one backward one.
@@ -418,48 +419,24 @@ def _shifted(a: Nfa | Dfa, by: int) -> Nfa:
                frozenset(s + by for s in a.finals))
 
 
-def _side_by_side(a: Nfa | Dfa, b: Nfa | Dfa) -> tuple[Nfa, Nfa, Nfa]:
-    """Copies of a and b on disjoint states, and one NFA holding the
-    moves of both (its initials and finals are left to the caller)."""
+def concat_nfa(a: Nfa | Dfa, b: Nfa | Dfa) -> Nfa:
+    """NFA for L(a) L(b) on disjoint copies of a and b.  Every final state
+    of a also gets the moves of b's initial states, so a word may go on in
+    b without an empty move."""
     a = _shifted(a, 0)
     b = _shifted(b, a.n_states)
     _check_same_alphabet(a, b)
-    moves = [ca + cb[a.n_states:] for ca, cb in zip(a.moves, b.moves)]
-    return Nfa(b.n_states, a.alphabet, moves), a, b
-
-
-def _restart(nfa: Nfa, sources, initials) -> None:
-    """Give every state in `sources` the moves of the states in
-    `initials`, so a word may start over there without an empty move."""
-    for column in nfa.moves:
+    moves = []
+    for ca, cb in zip(a.moves, b.moves):
         first = 0
-        for i in initials:
-            first |= column[i]
-        for s in sources:
+        for i in b.initials:
+            first |= cb[i]
+        column = ca + cb[a.n_states:]
+        for s in a.finals:
             column[s] |= first
-
-
-def concat_nfa(a: Nfa | Dfa, b: Nfa | Dfa) -> Nfa:
-    out, a, b = _side_by_side(a, b)
-    _restart(out, a.finals, b.initials)
-    out.initials = a.initials
-    out.finals = b.finals | (a.finals if b.initials & b.finals else frozenset())
-    return out
-
-
-def union_nfa(a: Nfa | Dfa, b: Nfa | Dfa) -> Nfa:
-    out, a, b = _side_by_side(a, b)
-    out.initials = a.initials | b.initials
-    out.finals = a.finals | b.finals
-    return out
-
-
-def star_nfa(a: Nfa | Dfa) -> Nfa:
-    out = _shifted(a, 1)  # state 0 is the hub
-    _restart(out, out.finals | {0}, out.initials)
-    out.initials = frozenset({0})
-    out.finals = out.finals | {0}
-    return out
+        moves.append(column)
+    return Nfa(b.n_states, a.alphabet, moves, a.initials,
+               b.finals | (a.finals if b.initials & b.finals else frozenset()))
 
 
 def reverse_nfa(a: Nfa | Dfa) -> Nfa:
@@ -472,10 +449,6 @@ def reverse_nfa(a: Nfa | Dfa) -> Nfa:
     out.initials = a.finals
     out.finals = a.initials
     return out
-
-
-def universe_dfa(alphabet: tuple[str, ...]) -> Dfa:
-    return Dfa(alphabet, ((0,) * len(alphabet),), 0, frozenset({0}))
 
 
 def epsilon_dfa(alphabet: tuple[str, ...]) -> Dfa:

@@ -35,11 +35,9 @@ from .automata import (
     reachable,
     residual,
     reverse_nfa,
-    star_nfa,
     subset,
     to_nfa,
     transition_monoid,
-    universe_dfa,
 )
 from .language import LanguageHandle
 
@@ -226,11 +224,14 @@ class _Analysis:
 
 
 # ---------------------------------------------------------------------------
-# Individual deciders; each takes the `_Analysis` of L
+# Individual deciders; each takes the `_Analysis` of L.  Each state of
+# the minimal DFA is reachable, and is a residual of L (Myhill-Nerode), so
+# MON, COMM, CIRC and STAR are checks over its states.
 
 
 def _classify_mon(an):
-    return _holds(Family.MON, equivalent(an.dfa, universe_dfa(an.l.alphabet)))
+    # L = V* exactly when every residual holds the empty word
+    return _holds(Family.MON, len(an.dfa.finals) == an.dfa.n_states)
 
 
 def _classify_fin(an):
@@ -310,6 +311,9 @@ def _definite_words(dfa: Dfa, k: int) -> list[str]:
 
 
 def _classify_suf(an):
+    # L is suffix-closed when the union of its residuals lies inside it.
+    # One subset construction from all states checks that; a subset test
+    # per residual would take time cubic in the states
     nfa = to_nfa(an.dfa)
     nfa.initials = frozenset(range(an.dfa.n_states))
     return _holds(Family.SUF, subset(determinize(nfa), an.dfa))
@@ -619,56 +623,26 @@ def _classify_ord(an):
     })
 
 
-def _one_swap_image(dfa: Dfa):
-    """NFA for {u y x v : u x y v in L} (one adjacent transposition)."""
-    n = dfa.n_states
-    k = len(dfa.alphabet)
-    # phase 0: s ; phase 1: n + s*k + letter ; phase 2: n + n*k + s
-    nfa = automata.Nfa(n + n * k + n, dfa.alphabet)
-    for s in range(n):
-        for i, a in enumerate(dfa.alphabet):
-            nfa.add(s, a, dfa.transitions[s][i])           # copy
-            nfa.add(s, a, n + s * k + i)                   # guess swap, remember y=a
-            nfa.add(n + n * k + s, a,
-                    n + n * k + dfa.transitions[s][i])     # after swap
-    for s in range(n):
-        for yi in range(k):
-            for xi, x in enumerate(dfa.alphabet):
-                mid = dfa.transitions[s][xi]
-                tgt = dfa.transitions[mid][yi]
-                nfa.add(n + s * k + yi, x, n + n * k + tgt)
-    nfa.initials = frozenset({dfa.start})
-    nfa.finals = frozenset(dfa.finals) | frozenset(n + n * k + f for f in dfa.finals)
-    return nfa
-
-
 def _classify_comm(an):
-    return _holds(Family.COMM,
-                  subset(determinize(_one_swap_image(an.dfa)), an.dfa))
-
-
-def _rotate_image(dfa: Dfa):
-    """NFA for {x a : a x in L} (cyclic shift by one letter)."""
-    n = dfa.n_states
-    k = len(dfa.alphabet)
-    accept = n * k
-    nfa = automata.Nfa(n * k + 1, dfa.alphabet)
-    inits = set()
-    for gi, g in enumerate(dfa.alphabet):
-        inits.add(gi * n + dfa.transitions[dfa.start][gi])
-        for s in range(n):
-            for i, a in enumerate(dfa.alphabet):
-                nfa.add(gi * n + s, a, gi * n + dfa.transitions[s][i])
-            if s in dfa.finals:
-                nfa.add(gi * n + s, g, accept)
-    nfa.initials = frozenset(inits)
-    nfa.finals = frozenset({accept})
-    return nfa
+    # u a b v and u b a v agree on L exactly when ab and ba take every
+    # state to the same residual
+    rows = an.dfa.transitions
+    return _holds(Family.COMM, all(
+        rows[row[a]][b] == rows[row[b]][a]
+        for row in rows for a, b in itertools.combinations(range(len(row)), 2)))
 
 
 def _classify_circ(an):
-    return _holds(Family.CIRC,
-                  subset(determinize(_rotate_image(an.dfa)), an.dfa))
+    # a x in L must give x a in L: the residual at delta(start, a) lies
+    # inside {x : x a in L}, read from the start with the states that a
+    # takes into F as finals
+    dfa = an.dfa
+    return _holds(Family.CIRC, all(
+        subset(residual(dfa, dfa.transitions[dfa.start][i]),
+               Dfa(dfa.alphabet, dfa.transitions, dfa.start,
+                   frozenset(q for q, row in enumerate(dfa.transitions)
+                             if row[i] in dfa.finals)))
+        for i in range(len(dfa.alphabet))))
 
 
 def _power_profile(mapping, start):
@@ -731,7 +705,11 @@ def _classify_ps(an):
 
 
 def _classify_star(an):
-    if equivalent(an.dfa, determinize(star_nfa(an.dfa))):
+    # L = L* exactly when L holds the empty word and L L <= L, that is
+    # L <= L_f for each final state f, which some word of L reaches
+    dfa = an.dfa
+    if dfa.start in dfa.finals and all(subset(dfa, residual(dfa, f))
+                                       for f in dfa.finals):
         return _yes(Family.STAR, {"H": an.l.text})
     return _no(Family.STAR)
 

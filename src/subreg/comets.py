@@ -11,16 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import automata, regex as rx
-from .automata import Dfa
+from .automata import Dfa, dfa_of
 from .regex import LanguageClass, language_class
 
 
 class CometError(Exception):
     pass
-
-
-def _dfa(r: rx.Regex, alphabet) -> Dfa:
-    return automata.dfa_of(r, alphabet)
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class CometDecomposition:
         return rx.cat(self.first, rx.cat(rx.star(self.middle), self.last))
 
     def language_dfa(self) -> Dfa:
-        return _dfa(self.regex, self.alphabet)
+        return dfa_of(self.regex, self.alphabet)
 
     def to_json(self) -> dict:
         return {
@@ -108,7 +104,7 @@ def _finite_words(r: rx.Regex, alphabet) -> list[str]:
     language's minimal DFA are shorter than its state count."""
     if language_class(r) is LanguageClass.INFINITE:
         raise CometError(f"{rx.render(r)} is not finite")
-    d = _dfa(r, alphabet)
+    d = dfa_of(r, alphabet)
     return automata.enumerate_words(d, d.n_states, cap=max(32, d.n_states))
 
 
@@ -128,7 +124,7 @@ def finite_first_tail(d: CometDecomposition) -> tuple[list[str], rx.Regex, rx.Re
     words, mid, last = result
     rebuilt = rx.cat(rx.finite_language_regex(words),
                      rx.cat(rx.star(mid), last))
-    if not automata.equivalent(_dfa(rebuilt, d.alphabet), d.language_dfa()):
+    if not automata.equivalent(dfa_of(rebuilt, d.alphabet), d.language_dfa()):
         raise CometError("first-tail reduction failed verification")
     return result
 
@@ -150,7 +146,7 @@ def left_normal_form(d: CometDecomposition) -> NormalFormResult:
     if len(components) == 1:
         single = True
     else:
-        keys = [(_dfa(c.middle, d.alphabet), _dfa(c.last, d.alphabet))
+        keys = [(dfa_of(c.middle, d.alphabet), dfa_of(c.last, d.alphabet))
                 for c in components]
         if all(k == keys[0] for k in keys[1:]):
             merged = sorted({w for c in components for w in c.first_words},
@@ -164,7 +160,7 @@ def left_normal_form(d: CometDecomposition) -> NormalFormResult:
     union = rx.EMPTY
     for c in components:
         union = rx.union(union, c.regex())
-    verified = automata.equivalent(_dfa(union, d.alphabet), d.language_dfa())
+    verified = automata.equivalent(dfa_of(union, d.alphabet), d.language_dfa())
     return NormalFormResult(d.alphabet, tuple(components), single, verified,
                             "left")
 
@@ -191,6 +187,6 @@ def right_normal_form(d: CometDecomposition) -> NormalFormResult:
     union = rx.EMPTY
     for c in components:
         union = rx.union(union, c.regex())
-    verified = automata.equivalent(_dfa(union, d.alphabet), d.language_dfa())
+    verified = automata.equivalent(dfa_of(union, d.alphabet), d.language_dfa())
     return NormalFormResult(d.alphabet, tuple(components), left.single_comet,
                             verified, "right")
