@@ -288,13 +288,9 @@ def _shared(value):
     return value
 
 
-def determinize_minimize(nfa: Nfa) -> Dfa:
-    return minimize(determinize(nfa))
-
-
 def dfa_of(r: Regex, alphabet: tuple[str, ...]) -> Dfa:
     """Minimal canonical DFA of a regex."""
-    return determinize_minimize(compile_regex(r, alphabet))
+    return minimize(determinize(compile_regex(r, alphabet)))
 
 
 def reachable(dfa: Dfa) -> set[int]:
@@ -449,11 +445,6 @@ def reverse_nfa(a: Nfa | Dfa) -> Nfa:
     out.initials = a.finals
     out.finals = a.initials
     return out
-
-
-def epsilon_dfa(alphabet: tuple[str, ...]) -> Dfa:
-    k = len(alphabet)
-    return Dfa(alphabet, ((1,) * k, (1,) * k), 0, frozenset({0}))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .automata import (
     complement,
     concat_nfa,
     determinize,
-    determinize_minimize,
     dfa_to_regex,
     enumerate_words,
     equivalent,
@@ -101,19 +100,19 @@ class Verdict:
 
 @dataclass
 class ClassifierConfig:
-    ord_state_cap: int = 10          # no order search on larger minimal DFAs
-    ord_split_extra: int = 2         # most extra states in a split automaton
     # branching decisions (a move's choice of copy, or the bit of a pair
     # component) over the whole order search on one language
     ord_search_budget: int = 60000
-    # most closed state sets, images of one set, and states of each subset
-    # construction in the SYDEF and 2COM search
-    comet_state_cap: int = 4096
-    def_word_cap: int = 1 << 16      # most words a DEF certificate lists
     monoid_cap: int = 10 ** 6        # most transition-monoid elements
 
 
 DEFAULT_CONFIG = ClassifierConfig()
+ORD_STATE_CAP = 10          # no order search on larger minimal DFAs
+ORD_SPLIT_EXTRA = 2         # most extra states in a split automaton
+# most closed state sets, images of one set, and states of each subset
+# construction in the SYDEF and 2COM search
+COMET_STATE_CAP = 4096
+DEF_WORD_CAP = 1 << 16      # most words a DEF certificate lists
 
 
 class CertificateError(Exception):
@@ -124,8 +123,8 @@ class ConsistencyError(Exception):
     """A family implication required by the hierarchy was violated."""
 
 
-def _yes(family, certificate=None, reason=None):
-    return Verdict(family, Outcome.YES, certificate, reason)
+def _yes(family, certificate=None):
+    return Verdict(family, Outcome.YES, certificate)
 
 
 def _no(family, reason=None):
@@ -218,7 +217,7 @@ class _Analysis:
         dfa = self.dfa
         columns = list(zip(*dfa.transitions))
         useful = sum(1 << q for q in automata.useful_states(dfa))
-        closed = _closed_state_sets(dfa, columns, self.config.comet_state_cap)
+        closed = _closed_state_sets(dfa, columns, COMET_STATE_CAP)
         return (columns, [p for p in closed if not p & ~useful],
                 to_nfa(complement(dfa)))
 
@@ -280,7 +279,7 @@ def _classify_def(an):
     if k is None:
         return _no(Family.DEF)
     cert = {"window": k}
-    if len(dfa.alphabet) ** k <= an.config.def_word_cap:
+    if len(dfa.alphabet) ** k <= DEF_WORD_CAP:
         # the guard bounds the words listed here, so no length cap applies
         cert["A"] = enumerate_words(dfa, k - 1, cap=k - 1) if k > 0 else []
         cert["B"] = _definite_words(dfa, k)
@@ -587,24 +586,23 @@ class _Split:
 
 
 def _classify_ord(an):
-    dfa, config = an.dfa, an.config
+    dfa = an.dfa
     # an ordered automaton has an aperiodic transition monoid (ORD within
     # NC), so a counting language is out at any size
     if an.aperiodicity is None:
         return _no(Family.ORD, "transition monoid is not aperiodic")
-    if dfa.n_states > config.ord_state_cap:
-        return _unknown(Family.ORD,
-                        f"state cap {config.ord_state_cap} exceeded")
-    budget = [config.ord_search_budget]
+    if dfa.n_states > ORD_STATE_CAP:
+        return _unknown(Family.ORD, f"state cap {ORD_STATE_CAP} exceeded")
+    budget = [an.config.ord_search_budget]
     try:
-        found = _split_order(dfa, config.ord_split_extra, budget)
+        found = _split_order(dfa, ORD_SPLIT_EXTRA, budget)
     except _SearchCapHit:
         return _unknown(Family.ORD, "order search budget exceeded")
     if found is None:
         # no bound on the extra states an ordered automaton may need is
         # known, so an empty bounded search decides nothing
         return _unknown(Family.ORD, "no ordered automaton with at most "
-                        f"{config.ord_split_extra} extra states")
+                        f"{ORD_SPLIT_EXTRA} extra states")
     order, rows, owner = found
     if len(owner) == dfa.n_states:  # the minimal DFA is ordered
         return _yes(Family.ORD, {"order": order})
@@ -681,8 +679,8 @@ def aperiodicity_bound(monoid) -> int | None:
     return bound
 
 
-def is_aperiodic(dfa: Dfa, cap: int = 10 ** 6) -> bool:
-    return aperiodicity_bound(transition_monoid(dfa, cap)) is not None
+def is_aperiodic(dfa: Dfa) -> bool:
+    return aperiodicity_bound(transition_monoid(dfa)) is not None
 
 
 def _classify_nc(an):
@@ -746,7 +744,7 @@ def _classify_rcom(an):
 
 
 def _classify_lcom(an):
-    g = _stabilizer_word(determinize_minimize(reverse_nfa(an.dfa)))
+    g = _stabilizer_word(minimize(determinize(reverse_nfa(an.dfa))))
     if g is None:
         return _no(Family.LCOM)
     g = g[::-1]  # orient for L = E G^*: L.g <= L
@@ -843,9 +841,9 @@ def _comet_set(an: _Analysis, every_letter: bool):
     stable and covers, because G* H <= K_P; its closure keeps both
     properties.  SYDEF (G = V*) is the case with P stable under every
     letter (g is None).  The closed sets, the images of P and each subset
-    construction are bounded by `comet_state_cap`.
+    construction are bounded by `COMET_STATE_CAP`.
     """
-    dfa, cap = an.dfa, an.config.comet_state_cap
+    dfa, cap = an.dfa, COMET_STATE_CAP
     try:
         columns, closed, rejects = an.comet_sets
         for p in closed:

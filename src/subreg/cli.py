@@ -26,18 +26,17 @@ class DomainError(Exception):
     pass
 
 
-def _word(w: str, fmt: str) -> str:
-    return w if (fmt == "json" or w) else "ε"
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _read_regex_arg(arg: str) -> str:
     if os.path.isfile(arg):
-        with open(arg, encoding="utf-8") as fh:
-            return fh.read().strip()
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                return fh.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read regex file {arg}: {exc}") from exc
     return arg
 
 
@@ -110,9 +109,9 @@ def cmd_nf2com(args) -> int:
               f"verified={str(result.verified).lower()}")
         for c in result.components:
             data = c.to_json()
-            e_part = (("{" + ", ".join(_word(w, "text") for w in data["E"]) + "}")
+            e_part = (("{" + ", ".join(w or "ε" for w in data["E"]) + "}")
                       if isinstance(data["E"], list) else data["E"])
-            h_part = (("{" + ", ".join(_word(w, "text") for w in data["H"]) + "}")
+            h_part = (("{" + ", ".join(w or "ε" for w in data["H"]) + "}")
                       if isinstance(data["H"], list) else data["H"])
             print(f"  E = {e_part}   G = {data['G']}   H = {h_part}")
     return 0 if result.verified else 1
@@ -122,7 +121,7 @@ def _load_grammar(path: str) -> gr.ContextualGrammar:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read grammar {path}: {exc}") from exc
     try:
         g = gr.grammar_from_json(data)
@@ -149,7 +148,7 @@ def cmd_grammar(args) -> int:
             print(_dump_json({"n": args.max_length, "words": words}))
         else:
             for w in words:
-                print(_word(w, "text"))
+                print(w or "ε")
         return 0
     if args.gcommand == "member":
         g = _load_grammar(args.grammar)
@@ -183,22 +182,20 @@ def cmd_grammar(args) -> int:
                 if unknown:
                     print(f"  unknown: {', '.join(unknown)}")
         return 0
-    if args.gcommand == "transform":
-        g = _load_grammar(args.grammar)
-        try:
-            if args.kind == "rcom":
-                out = gr.transform_to_rcom(g)
-            elif args.kind == "lcom":
-                out = gr.transform_to_lcom(g)
-            elif args.kind == "elimlambda":
-                out = gr.eliminate_empty_word_selection(g)
-            else:
-                out = gr.definite_to_sydef(g, _config(args))
-        except gr.GrammarError as exc:
-            raise DomainError(str(exc)) from exc
-        print(_dump_json(out.to_json()))
-        return 0
-    raise InputError(f"unknown grammar subcommand {args.gcommand!r}")
+    g = _load_grammar(args.grammar)  # transform, the last subcommand
+    try:
+        if args.kind == "rcom":
+            out = gr.transform_to_rcom(g)
+        elif args.kind == "lcom":
+            out = gr.transform_to_lcom(g)
+        elif args.kind == "elimlambda":
+            out = gr.eliminate_empty_word_selection(g)
+        else:
+            out = gr.definite_to_sydef(g, _config(args))
+    except gr.GrammarError as exc:
+        raise DomainError(str(exc)) from exc
+    print(_dump_json(out.to_json()))
+    return 0
 
 
 def cmd_hierarchy(args) -> int:
@@ -206,7 +203,7 @@ def cmd_hierarchy(args) -> int:
         _at_least("--corpus-size", args.corpus_size, 1)
         report = hierarchy.verify_witnesses(config=_config(args))
         edges = hierarchy.edge_consistency_check(
-            corpus=hierarchy.random_corpus(args.corpus_size),
+            hierarchy.random_corpus(args.corpus_size),
             config=_config(args, hierarchy.CORPUS_CONFIG))
         combined = {"edge_consistency": edges, "witnesses": report}
         ok = report["n_failed"] == 0 and edges["n_violations"] == 0
@@ -233,10 +230,8 @@ def cmd_hierarchy(args) -> int:
         else:
             print(rel.value)
         return 0
-    if args.hcommand == "dot":
-        print(hierarchy.GRAPHS[args.graph].to_dot(), end="")
-        return 0
-    raise InputError(f"unknown hierarchy subcommand {args.hcommand!r}")
+    print(hierarchy.GRAPHS[args.graph].to_dot(), end="")  # dot
+    return 0
 
 
 @functools.cache
@@ -251,14 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "normal forms, and external contextual grammars.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
+
+    def add_classify_options(p):  # a command that classifies
+        add_format(p)
         p.add_argument("--cap-monoid", type=int, default=None)
 
     p = sub.add_parser("classify", help="classify a regex into every family")
     p.add_argument("regex", help="regex literal or path to a regex file")
     p.add_argument("--alphabet", required=True)
-    add_common(p)
+    add_classify_options(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("nf2com", help="left/right normal form of E G* H")
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("h")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
-    add_common(p)
+    add_format(p)
     p.set_defaults(func=cmd_nf2com)
 
     p = sub.add_parser("grammar", help="contextual grammar operations")
@@ -282,24 +280,26 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "transform":
             q.add_argument("kind",
                            choices=("rcom", "lcom", "elimlambda", "def2sydef"))
-        add_common(q)
+        if name in ("classify", "transform"):
+            add_classify_options(q)
+        else:
+            add_format(q)
         q.set_defaults(func=cmd_grammar)
 
     p = sub.add_parser("hierarchy", help="hierarchy graphs and verification")
     hsub = p.add_subparsers(dest="hcommand", required=True)
     q = hsub.add_parser("verify")
     q.add_argument("--corpus-size", type=int, default=1000)
-    add_common(q)
+    add_classify_options(q)
     q.set_defaults(func=cmd_hierarchy)
     q = hsub.add_parser("query")
     q.add_argument("x")
     q.add_argument("y")
     q.add_argument("--graph", choices=("fig1", "fig2"), default="fig1")
-    add_common(q)
+    add_format(q)
     q.set_defaults(func=cmd_hierarchy)
     q = hsub.add_parser("dot")
     q.add_argument("graph", choices=("fig1", "fig2"))
-    add_common(q)
     q.set_defaults(func=cmd_hierarchy)
 
     return parser

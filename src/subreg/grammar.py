@@ -136,8 +136,8 @@ class Measures:
 def measures(g: ContextualGrammar) -> Measures:
     validate(g)
     l_a = max(len(w) for w in g.axioms)
-    l_c = max(len(ctx.u) + len(ctx.v)
-              for comp in g.components for ctx in comp.contexts)
+    l_c = max((len(ctx.u) + len(ctx.v)
+               for comp in g.components for ctx in comp.contexts), default=0)
     return Measures(l_a, l_c)
 
 
@@ -165,27 +165,35 @@ def enumerate_language(g: ContextualGrammar, n: int) -> list[str]:
     return sorted(seen, key=lambda w: (len(w), w))
 
 
-def member(g: ContextualGrammar, word: str, _memo: dict | None = None) -> bool:
-    """Backward search: word is an axiom, or some context peels off to a
-    shorter derivable word inside the matching selection."""
-    if _memo is None:
-        _memo = {}
-    if word in _memo:
-        return _memo[word]
-    _memo[word] = False  # guards nothing (lengths decrease) but is cheap
-    if word in g.axioms:
-        _memo[word] = True
-        return True
+def _peeled(g: ContextualGrammar, word: str):
+    """The words that a context peels off `word` inside its selection."""
     for comp in g.components:
         for ctx in comp.contexts:
-            if len(ctx.u) + len(ctx.v) > len(word):
-                continue
-            if not (word.startswith(ctx.u) and word.endswith(ctx.v)):
-                continue
-            inner = word[len(ctx.u):len(word) - len(ctx.v)]
-            if comp.selection.accepts(inner) and member(g, inner, _memo):
-                _memo[word] = True
+            if (len(ctx.u) + len(ctx.v) <= len(word)
+                    and word.startswith(ctx.u) and word.endswith(ctx.v)):
+                inner = word[len(ctx.u):len(word) - len(ctx.v)]
+                if comp.selection.accepts(inner):
+                    yield inner
+
+
+def member(g: ContextualGrammar, word: str) -> bool:
+    """Backward search: word is an axiom, or some context peels off to a
+    shorter derivable word inside the matching selection.  The search
+    keeps its own stack, so a derivation may take any number of steps."""
+    if word in g.axioms:
+        return True
+    seen = {word}  # the memo: words whose search has begun
+    stack = [_peeled(g, word)]
+    while stack:
+        for inner in stack[-1]:
+            if inner in g.axioms:
                 return True
+            if inner not in seen:
+                seen.add(inner)
+                stack.append(_peeled(g, inner))
+                break
+        else:
+            stack.pop()
     return False
 
 

@@ -26,9 +26,9 @@ class LanguageHandle:
             self._cross_check()
 
     @classmethod
-    def from_text(cls, text: str, alphabet, check: bool = True) -> "LanguageHandle":
+    def from_text(cls, text: str, alphabet) -> "LanguageHandle":
         alphabet = rx.make_alphabet(alphabet)
-        return cls(alphabet, rx.parse_regex(text, alphabet), check=check)
+        return cls(alphabet, rx.parse_regex(text, alphabet))
 
     @property
     def dfa(self) -> automata.Dfa:
@@ -44,10 +44,10 @@ class LanguageHandle:
             self._text = rx.render(self.regex)
         return self._text
 
-    def _cross_check(self, depth: int = 4) -> None:
-        # the cached DFA must agree with the direct set semantics of the regex
-        expected = rx.words_up_to(self.regex, depth)
-        got = set(automata.enumerate_words(self.dfa, depth))
+    def _cross_check(self) -> None:
+        # the cached DFA must agree with the regex's set semantics to length 4
+        expected = rx.words_up_to(self.regex, 4)
+        got = set(automata.enumerate_words(self.dfa, 4))
         if got != set(expected):
             raise automata.AutomataError(
                 f"DFA/regex mismatch for {rx.render(self.regex)}: "

@@ -70,11 +70,11 @@ class TestBooleanOperations:
 
 class TestTransforms:
     def test_reverse(self):
-        rev = au.determinize_minimize(au.reverse_nfa(dfa("a*b")))
+        rev = au.minimize(au.determinize(au.reverse_nfa(dfa("a*b"))))
         assert au.equivalent(rev, dfa("ba*"))
 
     def test_concat_and_star(self):
-        cat = au.determinize_minimize(au.concat_nfa(dfa("a*"), dfa("b")))
+        cat = au.minimize(au.determinize(au.concat_nfa(dfa("a*"), dfa("b"))))
         assert au.equivalent(cat, dfa("a*b"))
 
     def test_determinize_cap(self):
@@ -262,7 +262,7 @@ def test_rational_operations_match_regexes(data, r, s):
     b = data.draw(operands(s))
 
     def same(nfa, regex):
-        assert au.determinize_minimize(nfa) == au.dfa_of(regex, AB), (
+        assert au.minimize(au.determinize(nfa)) == au.dfa_of(regex, AB), (
             rx.render(r), rx.render(s))
 
     same(au.concat_nfa(a, b), rx.Cat(r, s))

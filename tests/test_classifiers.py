@@ -100,7 +100,7 @@ class TestCertificates:
         assert cl.verify_certificate(h, Family.DEF, v.certificate)
 
     def test_window_only_def_certificate(self):
-        # 2^17 words exceed def_word_cap, so the window is all it states
+        # 2^17 words exceed DEF_WORD_CAP, so the window is all it states
         h = lang("(a|b)*a" + "b" * 16)
         v = cl.classify(h, Family.DEF)
         assert v.certificate == {"window": 17}
@@ -257,7 +257,7 @@ class TestSharedCertificates:
 
 class TestBoundedDeciders:
     """SYDEF and 2COM search the closed state sets of the minimal DFA; no
-    bound limits them, and only `comet_state_cap` answers unknown."""
+    bound limits them, and only `COMET_STATE_CAP` answers unknown."""
 
     # neither a left nor a right comet: E = c(ab)*, G = ab, H = (ab)*c
     def test_2com_finds_decomposition(self):
@@ -342,14 +342,15 @@ class TestClassifyAll:
             v = cl.classify(lang(text), Family.UF)
             assert v.outcome is not Outcome.NO
 
-    def test_state_cap_gives_unknown(self):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, ord_state_cap=1)
-        v = cl.classify(lang("(ab)*"), Family.ORD, cfg)
+    def test_state_cap_gives_unknown(self, monkeypatch):
+        monkeypatch.setattr(cl, "ORD_STATE_CAP", 1)
+        v = cl.classify(lang("(ab)*"), Family.ORD)
         assert v.outcome is Outcome.UNKNOWN
+        assert v.reason == "state cap 1 exceeded"
 
     def test_counting_language_is_no_beyond_the_state_cap(self):
         h = lang("(" + "a" * 11 + ")*", "a")
-        assert h.dfa.n_states > DEFAULT_CONFIG.ord_state_cap
+        assert h.dfa.n_states > cl.ORD_STATE_CAP
         v = cl.classify(h, Family.ORD)
         assert v.outcome is Outcome.NO
         assert v.reason == "transition monoid is not aperiodic"
@@ -361,10 +362,10 @@ class TestClassifyAll:
             assert verdicts[family].outcome is Outcome.UNKNOWN
             assert verdicts[family].reason == "transition monoid exceeds cap 2"
 
-    def test_sydef_state_cap_gives_unknown(self):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, comet_state_cap=1)
+    def test_sydef_state_cap_gives_unknown(self, monkeypatch):
+        monkeypatch.setattr(cl, "COMET_STATE_CAP", 1)
         for family in (Family.SYDEF, Family.TWOCOM):
-            v = cl.classify(lang("c(ab)*c", "abc"), family, cfg)
+            v = cl.classify(lang("c(ab)*c", "abc"), family)
             assert v.outcome is Outcome.UNKNOWN
             assert v.reason == "comet state cap 1 exceeded"
 
@@ -508,7 +509,7 @@ def _check_ord_against_oracle(dfa: Dfa) -> Outcome:
     h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
     assert h.dfa == dfa
     v = cl.classify(h, Family.ORD)
-    extra = DEFAULT_CONFIG.ord_split_extra
+    extra = cl.ORD_SPLIT_EXTRA
     assert (v.outcome is Outcome.YES) == _ordered_within(dfa, extra), \
         au.dfa_to_text(dfa)
     if v.outcome is Outcome.YES:

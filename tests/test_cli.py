@@ -44,6 +44,14 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", str(p), "--alphabet", "ab")
         assert code == 0
 
+    def test_regex_file_not_utf8_is_input_error(self, capsys, tmp_path):
+        p = tmp_path / "r.txt"
+        p.write_bytes(b"\xff")
+        code, out, err = run(capsys, "classify", str(p), "--alphabet", "ab")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read regex file")
+        assert err.count("\n") == 1
+
     def test_bad_regex_is_input_error(self, capsys):
         code, _, err = run(capsys, "classify", "(ab", "--alphabet", "ab")
         assert code == 2
@@ -140,6 +148,18 @@ class TestGrammar:
         data = json.loads(out)
         assert "" in data["words"]
 
+    @pytest.mark.parametrize("name, word, answer", [
+        ("ex1", "ab" * 1000, "yes"),
+        ("nil_o_star", "a" * 2000 + "bb", "no"),
+    ], ids=["member", "non_member"])
+    def test_member_of_a_long_word(self, capsys, tmp_path, name, word,
+                                   answer):
+        # one derivation step per letter pair or letter
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(gr.fixtures()[name].to_json()))
+        code, out, err = run(capsys, "grammar", "member", str(path), word)
+        assert (code, out, err) == (0, answer + "\n", "")
+
     def test_member_epsilon_argument(self, capsys, ex1_path):
         code, out, _ = run(capsys, "grammar", "member", ex1_path, "ε")
         assert code == 0 and out.strip() == "yes"
@@ -156,6 +176,21 @@ class TestGrammar:
         assert code == 0
         data = json.loads(out)
         assert "X" in data["alphabet"]
+
+    def test_validate_grammar_without_components(self, capsys, tmp_path):
+        # elimlambda drops the {λ} selection and leaves no component
+        lam = {"alphabet": ["a"], "axioms": [""], "components": [
+            {"selection": {"alphabet": ["a"], "regex": "1"},
+             "contexts": [{"u": "a", "v": ""}]}]}
+        path = tmp_path / "lam.json"
+        path.write_text(json.dumps(lam))
+        code, out, _ = run(capsys, "grammar", "transform", str(path),
+                           "elimlambda")
+        assert code == 0
+        assert json.loads(out)["components"] == []
+        path.write_text(out)
+        code, out, err = run(capsys, "grammar", "validate", str(path))
+        assert (code, out, err) == (0, "valid; l_A=1 l_C=0 l=2\n", "")
 
     def test_transform_def2sydef_precondition(self, capsys, tmp_path):
         g = gr.fixtures()["star_o_ps"]  # (aa)* selection is not definite
@@ -181,6 +216,18 @@ class TestGrammar:
         p.write_text("{not json")
         code, _, _ = run(capsys, "grammar", "validate", str(p))
         assert code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["enum"], ["member", "a"], ["classify"],
+        ["transform", "rcom"]], ids=lambda c: c[0])
+    def test_file_not_utf8_is_input_error(self, capsys, tmp_path, command):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff")
+        code, out, err = run(capsys, "grammar", command[0], str(p),
+                             *command[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read grammar")
+        assert err.count("\n") == 1
 
 
     @pytest.mark.parametrize("edit", [
@@ -236,6 +283,34 @@ class TestHierarchy:
                              "--corpus-size", size)
         assert code == 2 and out == ""
         assert err == f"error: --corpus-size must be at least 1, got {size}\n"
+
+
+def _leaf_options(parser, path=()):
+    """(command path, sorted long options) of every leaf command."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), sorted(
+            o for a in parser._actions for o in a.option_strings
+            if o.startswith("--") and o != "--help")
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_options(sub, (*path, name))
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    assert dict(_leaf_options(cli.build_parser())) == {
+        "classify": ["--alphabet", "--cap-monoid", "--format"],
+        "nf2com": ["--alphabet", "--format", "--side"],
+        "grammar validate": ["--format"],
+        "grammar enum": ["--format", "--max-length"],
+        "grammar member": ["--format"],
+        "grammar classify": ["--cap-monoid", "--format"],
+        "grammar transform": ["--cap-monoid", "--format"],
+        "hierarchy verify": ["--cap-monoid", "--corpus-size", "--format"],
+        "hierarchy query": ["--format", "--graph"],
+        "hierarchy dot": [],
+    }
 
 
 class TestParserReuse:
