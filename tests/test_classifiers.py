@@ -593,6 +593,39 @@ class TestCometOracle:
         assert [(s.count("y"), s.count("n")) for s in got.values()] == \
             [(58, 996), (1042, 12)]
 
+    def test_rcom_and_lcom_words(self):
+        # g.L <= L (RCOM) and L.g <= L (LCOM), checked on the words of L of
+        # length <= 6; g is the first non-empty word of length <= 3 in
+        # length-lex order, for LCOM in that order of its reversal
+        dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
+        words = list(au.all_words(("a", "b"), 3))[1:]
+        orders = {
+            Family.RCOM: (words, lambda g, u: g + u),
+            Family.LCOM: (sorted(words, key=lambda g: (len(g), g[::-1])),
+                          lambda g, u: u + g),
+        }
+        yes = dict.fromkeys(orders, 0)
+        for dfa in dfas:
+            h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
+            l = [u for u in au.all_words(dfa.alphabet, 6) if dfa.accepts(u)]
+            for family, (candidates, join) in orders.items():
+                g = next((g for g in candidates
+                          if all(dfa.accepts(join(g, u)) for u in l)), None)
+                v = cl.classify(h, family)
+                if g is None:
+                    assert v.outcome is Outcome.NO, \
+                        (family, au.dfa_to_text(dfa))
+                else:
+                    assert v.outcome is Outcome.YES, \
+                        (family, au.dfa_to_text(dfa))
+                    assert v.certificate["g"] == g, \
+                        (family, au.dfa_to_text(dfa))
+                    assert cl.verify_certificate(h, family, v.certificate)
+                    yes[family] += 1
+        assert len(dfas) == 1054
+        assert {f.value: n for f, n in yes.items()} == {"RCOM": 996,
+                                                        "LCOM": 1036}
+
 
 # ---------------------------------------------------------------------------
 # MON, SUF, COMM, CIRC and STAR against their definitions
