@@ -5,9 +5,10 @@ one state per letter occurrence plus a start state.  An NFA keeps its
 moves as one list of int bitmasks per letter: bit t of
 ``moves[i][p]`` is set when p reads ``alphabet[i]`` into t, so the
 successors of a whole state set are one OR of masks.  No automaton here
-has empty moves.  The rational operations on NFAs are concatenation
-(``concat_nfa``), which copies initial moves instead, and reversal
-(``reverse_nfa``).
+has empty moves.  The one rational operation on NFAs is concatenation
+(``concat_nfa``), which copies initial moves instead.  No automaton is
+reversed: the deciders that read a word backwards take letter
+preimages of state sets of the minimal DFA.
 ``determinize`` is the one subset construction, over int subsets;
 ``reachable`` is the one forward reachability helper and
 ``distance_to_final`` the one backward one.
@@ -433,18 +434,6 @@ def concat_nfa(a: Nfa | Dfa, b: Nfa | Dfa) -> Nfa:
         moves.append(column)
     return Nfa(b.n_states, a.alphabet, moves, a.initials,
                b.finals | (a.finals if b.initials & b.finals else frozenset()))
-
-
-def reverse_nfa(a: Nfa | Dfa) -> Nfa:
-    a = to_nfa(a) if isinstance(a, Dfa) else a
-    out = Nfa(a.n_states, a.alphabet)
-    for column, back in zip(a.moves, out.moves):
-        for s, targets in enumerate(column):
-            for t in _bits(targets):
-                back[t] |= 1 << s
-    out.initials = a.finals
-    out.finals = a.initials
-    return out
 
 
 # ---------------------------------------------------------------------------

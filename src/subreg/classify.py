@@ -33,7 +33,6 @@ from .automata import (
     minimize,
     reachable,
     residual,
-    reverse_nfa,
     subset,
     to_nfa,
     transition_monoid,
@@ -113,6 +112,7 @@ ORD_SPLIT_EXTRA = 2         # most extra states in a split automaton
 # construction in the SYDEF and 2COM search
 COMET_STATE_CAP = 4096
 DEF_WORD_CAP = 1 << 16      # most words a DEF certificate lists
+_SUBSET_CAP = 10 ** 6       # most state sets the RCOM and LCOM searches reach
 
 
 class CertificateError(Exception):
@@ -208,17 +208,28 @@ class _Analysis:
         return cardinality_class(self.dfa)
 
     @_fact
-    def comet_sets(self):
-        """(columns, closed, rejects) for `_comet_set` (SYDEF and 2COM):
-        the letter columns, the closed state sets free of states with an
-        empty residual, which no P covering a non-empty L holds (for an
-        empty L the empty set comes first and covers), and the NFA of what
-        each state rejects."""
+    def columns(self) -> list:
+        """The letter columns of the DFA: column i maps each state to its
+        move on letter i (RCOM, LCOM, SYDEF and 2COM)."""
+        return list(zip(*self.dfa.transitions))
+
+    @_fact
+    def above(self) -> int:
+        """The bitmask of the states q with L <= L_q (STAR and RCOM)."""
         dfa = self.dfa
-        columns = list(zip(*dfa.transitions))
+        return sum(1 << q for q in range(dfa.n_states)
+                   if subset(dfa, residual(dfa, q)))
+
+    @_fact
+    def comet_sets(self):
+        """(closed, rejects) for `_comet_set` (SYDEF and 2COM): the closed
+        state sets free of states with an empty residual, which no P
+        covering a non-empty L holds (for an empty L the empty set comes
+        first and covers), and the NFA of what each state rejects."""
+        dfa = self.dfa
         useful = sum(1 << q for q in automata.useful_states(dfa))
-        closed = _closed_state_sets(dfa, columns, COMET_STATE_CAP)
-        return (columns, [p for p in closed if not p & ~useful],
+        closed = _closed_state_sets(dfa, self.columns, COMET_STATE_CAP)
+        return ([p for p in closed if not p & ~useful],
                 to_nfa(complement(dfa)))
 
 
@@ -706,37 +717,17 @@ def _classify_star(an):
     # L = L* exactly when L holds the empty word and L L <= L, that is
     # L <= L_f for each final state f, which some word of L reaches
     dfa = an.dfa
-    if dfa.start in dfa.finals and all(subset(dfa, residual(dfa, f))
-                                       for f in dfa.finals):
+    finals = sum(1 << q for q in dfa.finals)
+    if dfa.start in dfa.finals and not finals & ~an.above:
         return _yes(Family.STAR, {"H": an.l.text})
     return _no(Family.STAR)
 
 
-def _stabilizer_word(dfa: Dfa):
-    """Shortest non-empty word g with g.L <= L, length-lex first, or None.
-
-    g.L <= L holds iff L <= g^-1 L, the residual at the state g reaches;
-    the breadth-first search tests each state when it first reaches it.
-    """
-    frontier = [("", dfa.start)]
-    visited = set()
-    while frontier:
-        nxt = []
-        for word, s in frontier:
-            for i, a in enumerate(dfa.alphabet):
-                t = dfa.transitions[s][i]
-                if t in visited:
-                    continue
-                visited.add(t)
-                if subset(dfa, residual(dfa, t)):
-                    return word + a
-                nxt.append((word + a, t))
-        frontier = nxt
-    return None
-
-
 def _classify_rcom(an):
-    g = _stabilizer_word(an.dfa)
+    # g.L <= L iff L <= g^-1 L, the residual at the state g reaches
+    above = an.above
+    g = _stable_word(an, _image, 1 << an.dfa.start,
+                     lambda s: not s & ~above, _SUBSET_CAP)
     if g is None:
         return _no(Family.RCOM)
     # render(word_regex(g)) is g itself
@@ -744,7 +735,11 @@ def _classify_rcom(an):
 
 
 def _classify_lcom(an):
-    g = _stabilizer_word(minimize(determinize(reverse_nfa(an.dfa))))
+    # L.g <= L iff F.g <= F, that is iff F lies inside the preimage of F
+    # under g; the search reads g backwards, from F by letter preimages
+    finals = sum(1 << q for q in an.dfa.finals)
+    g = _stable_word(an, _preimage, finals, lambda s: not finals & ~s,
+                     _SUBSET_CAP)
     if g is None:
         return _no(Family.LCOM)
     g = g[::-1]  # orient for L = E G^*: L.g <= L
@@ -758,6 +753,11 @@ def _image(states: int, column) -> int:
         if states >> q & 1:
             out |= 1 << t
     return out
+
+
+def _preimage(states: int, column) -> int:
+    """The bitmask of the states that move into `states`."""
+    return sum(1 << q for q, t in enumerate(column) if states >> t & 1)
 
 
 def _closed_state_sets(dfa: Dfa, columns, cap: int) -> list[int]:
@@ -776,7 +776,7 @@ def _closed_state_sets(dfa: Dfa, columns, cap: int) -> list[int]:
     queue = [finals]
     for s in queue:  # grows while it is read
         for column in columns:
-            pre = sum(1 << q for q, t in enumerate(column) if s >> t & 1)
+            pre = _preimage(s, column)
             if pre not in family:
                 if len(family) >= cap:
                     raise ResourceCapExceeded
@@ -790,22 +790,25 @@ def _closed_state_sets(dfa: Dfa, columns, cap: int) -> list[int]:
     return sorted(closed)
 
 
-def _stable_word(dfa: Dfa, columns, states: int, cap: int):
-    """Shortest non-empty word g, length-lex first, with P.g <= P for the
-    state set P = `states`, or None; a breadth-first search over the
-    images of P."""
+def _stable_word(an: _Analysis, move, states: int, accept, cap: int):
+    """Shortest non-empty word w, length-lex first, whose `move` (`_image`
+    or `_preimage` under one letter) takes the state set `states` to a set
+    that `accept` holds for, or None: a subset construction on the fly,
+    breadth-first; more than `cap` sets raise ResourceCapExceeded."""
+    alphabet, columns = an.dfa.alphabet, an.columns
     seen = {states}
     frontier = [("", states)]
     while frontier:
         nxt = []
         for word, s in frontier:
-            for a, column in zip(dfa.alphabet, columns):
-                t = _image(s, column)
-                if not t & ~states:
+            for a, column in zip(alphabet, columns):
+                t = move(s, column)
+                if accept(t):
                     return word + a
                 if t not in seen:
                     if len(seen) >= cap:
-                        raise ResourceCapExceeded
+                        raise ResourceCapExceeded(
+                            f"subset construction exceeds cap {cap}")
                     seen.add(t)
                     nxt.append((word + a, t))
         frontier = nxt
@@ -839,13 +842,16 @@ def _comet_set(an: _Analysis, every_letter: bool):
     so a covering P gives L = E_P g* K_P.  Conversely, if L = E G* H and g
     is a non-empty word of G, the g-orbit P of the states E reaches is
     stable and covers, because G* H <= K_P; its closure keeps both
-    properties.  SYDEF (G = V*) is the case with P stable under every
-    letter (g is None).  The closed sets, the images of P and each subset
+    properties.  For 2COM, g is the shortest non-empty word, length-lex
+    first, that `_stable_word` finds from P by images, accepting the sets
+    inside P; SYDEF (G = V*) is the case with P stable under every letter
+    (g is None).  The closed sets, the images of P and each subset
     construction are bounded by `COMET_STATE_CAP`.
     """
     dfa, cap = an.dfa, COMET_STATE_CAP
     try:
-        columns, closed, rejects = an.comet_sets
+        closed, rejects = an.comet_sets
+        columns = an.columns
         for p in closed:
             if not _through(dfa, p):
                 continue
@@ -854,7 +860,7 @@ def _comet_set(an: _Analysis, every_letter: bool):
                 if any(_image(p, column) & ~p for column in columns):
                     continue
             else:
-                g = _stable_word(dfa, columns, p, cap)
+                g = _stable_word(an, _image, p, lambda s: not s & ~p, cap)
                 if g is None:
                     continue
             members = frozenset(q for q in range(dfa.n_states) if p >> q & 1)

@@ -58,28 +58,16 @@ class HierarchyGraph:
             if e.src not in self._canon or e.dst not in self._canon:
                 raise HierarchyError(f"edge {e} references unknown node")
             self._succ.setdefault(self.canon(e.src), set()).add(self.canon(e.dst))
-        if self._has_cycle():
+        # an edge closes a cycle when it is a loop on one group of equal
+        # nodes or its head reaches back to its tail
+        if any(w == v or self.reachable(w, v)
+               for v, succ in self._succ.items() for w in succ):
             raise HierarchyError(f"{name}: inclusion graph has a cycle")
 
     def canon(self, node: str) -> str:
         if node not in self._canon:
             raise HierarchyError(f"unknown node {node!r}")
         return self._canon[node]
-
-    def _has_cycle(self) -> bool:
-        color = {}
-
-        def visit(v):
-            color[v] = 1
-            for w in self._succ.get(v, ()):
-                c = color.get(w, 0)
-                if c == 1 or (c == 0 and visit(w)):
-                    return True
-            color[v] = 2
-            return False
-
-        return any(color.get(v, 0) == 0 and visit(v)
-                   for v in set(self._canon.values()))
 
     def reachable(self, src: str, dst: str) -> bool:
         src, dst = self.canon(src), self.canon(dst)

@@ -396,8 +396,10 @@ class TestClassifyAll:
 
     def test_each_shared_fact_is_built_once(self, monkeypatch):
         # NC, PS and ORD read one monoid; FIN, NIL, SYDEF and 2COM one
-        # cardinality; SYDEF and 2COM one family of closed state sets
-        h = lang("c(ab)*c", "abc")
+        # cardinality; SYDEF and 2COM one family of closed state sets;
+        # STAR and RCOM one set of states whose residual holds L (L holds
+        # the empty word, so STAR reads it)
+        h = lang("1|c(ab)*c", "abc")
         calls = []
         for name in ("transition_monoid", "aperiodicity_bound",
                      "cardinality_class", "_closed_state_sets"):
@@ -406,11 +408,25 @@ class TestClassifyAll:
                 calls.append((name, first is h.dfa))
                 return fn(first, *args, **kwargs)
             monkeypatch.setattr(cl, name, counting)
+        residuals = []  # (residual DFA, its state)
+        tested = []  # the states whose residual was tested against L
+
+        def residual(dfa, q, fn=cl.residual):
+            residuals.append((fn(dfa, q), q))
+            return residuals[-1][0]
+
+        def subset(a, b, fn=cl.subset):
+            if a is h.dfa:
+                tested.extend(q for r, q in residuals if r is b)
+            return fn(a, b)
+        monkeypatch.setattr(cl, "residual", residual)
+        monkeypatch.setattr(cl, "subset", subset)
         cl.classify_all(h)
         assert calls.count(("transition_monoid", True)) == 1
         assert [n for n, _ in calls].count("aperiodicity_bound") == 1
         assert calls.count(("cardinality_class", True)) == 1
         assert calls.count(("_closed_state_sets", True)) == 1
+        assert sorted(tested) == list(range(h.dfa.n_states))
 
     def test_a_capped_monoid_build_is_kept(self, monkeypatch):
         # NC, PS and ORD read one monoid build, even one that hit the cap

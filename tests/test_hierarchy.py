@@ -41,6 +41,22 @@ class TestGraphQueries:
                               [hi.Edge("A", "B", "literature"),
                                hi.Edge("B", "A", "literature")])
 
+    def test_three_cycle_raises(self):
+        with pytest.raises(hi.HierarchyError, match="has a cycle"):
+            hi.HierarchyGraph("bad", ["A", "B", "C", "D"],
+                              [hi.Edge("D", "A", "literature"),
+                               hi.Edge("A", "B", "literature"),
+                               hi.Edge("B", "C", "literature"),
+                               hi.Edge("C", "A", "literature")])
+
+    def test_edge_inside_an_equality_group_raises(self):
+        # A = B, so A -> B would make A a proper subset of itself
+        with pytest.raises(hi.HierarchyError, match="has a cycle"):
+            hi.HierarchyGraph("bad", ["A", "B", "C"],
+                              [hi.Edge("A", "C", "literature"),
+                               hi.Edge("A", "B", "literature")],
+                              equalities=[{"A", "B"}])
+
     def test_to_dot(self):
         dot = FIG1.to_dot()
         assert dot.startswith("digraph fig1 {")
