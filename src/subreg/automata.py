@@ -24,19 +24,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .regex import (
-    EMPTY,
-    EPSILON,
-    Cat,
-    Empty,
-    Regex,
-    Star,
-    Sym,
-    Union,
-    cat,
-    star,
-    union,
-)
+from .regex import EMPTY, EPSILON, Empty, Regex, Sym, cat, fold, star, union
 
 
 class AutomataError(Exception):
@@ -105,55 +93,42 @@ def compile_regex(r: Regex, alphabet: tuple[str, ...]) -> Nfa:
     counted from the left; every move into p reads p's letter, so the
     moves on a letter are the follow masks cut to that letter's
     positions.  Nullable, first (a mask), last (a tuple of positions) and
-    follow masks are computed bottom-up over an explicit stack, so tree
-    depth is not limited by the interpreter's recursion limit.
+    follow masks are computed bottom-up by one `regex.fold`.
     """
     positions = dict.fromkeys(alphabet, 0)  # the mask of each letter's positions
     follow = [0]  # follow[0] is filled with the first mask at the end
     missing = set()
-    results = []  # (nullable, first, last) per finished subtree
-    stack = [r]  # a None marks that the node below it has finished subtrees
-    while stack:
-        node = stack.pop()
-        if node is None:
-            node = stack.pop()
-            if type(node) is Star:
-                _, first, last = results[-1]
-                for p in last:
-                    follow[p] |= first
-                results[-1] = (True, first, last)
-                continue
-            nr, fr, lr = results.pop()
-            nl, fl, ll = results.pop()
-            if type(node) is Union:
-                results.append((nl or nr, fl | fr, ll + lr))
-            else:
-                for p in ll:
-                    follow[p] |= fr
-                results.append((nl and nr, fl | fr if nl else fl,
-                                ll + lr if nr else lr))
-            continue
-        kind = type(node)
-        if kind is Sym:
-            p = len(follow)
-            follow.append(0)
-            if node.letter in positions:
-                positions[node.letter] |= 1 << p
-            else:
-                missing.add(node.letter)
-            results.append((False, 1 << p, (p,)))
-        elif kind is Cat or kind is Union:
-            # right first, so the left subtree numbers its letters first
-            stack += (node, None, node.right, node.left)
-        elif kind is Star:
-            stack += (node, None, node.inner)
-        elif kind is Empty:
-            results.append((False, 0, ()))
+
+    def leaf(node):  # each value is a subtree's (nullable, first, last)
+        if type(node) is Empty:
+            return False, 0, ()
+        p = len(follow)
+        follow.append(0)
+        if node.letter in positions:
+            positions[node.letter] |= 1 << p
         else:
-            raise TypeError(f"not a regex node: {node!r}")
+            missing.add(node.letter)
+        return False, 1 << p, (p,)
+
+    def starred(node, inner):
+        _, first, last = inner
+        for p in last:
+            follow[p] |= first
+        return True, first, last
+
+    def joined(node, left, right):
+        (nl, fl, ll), (nr, fr, lr) = left, right
+        for p in ll:
+            follow[p] |= fr
+        return nl and nr, fl | fr if nl else fl, ll + lr if nr else lr
+
+    def either(node, left, right):
+        (nl, fl, ll), (nr, fr, lr) = left, right
+        return nl or nr, fl | fr, ll + lr
+
+    nullable, first, last = fold(r, leaf, starred, joined, either)
     if missing:
         raise AlphabetMismatchError(f"letters {sorted(missing)} not in alphabet")
-    nullable, first, last = results.pop()
     follow[0] = first
     return Nfa(len(follow), alphabet,
                [[f & m for f in follow] for m in positions.values()],
@@ -527,12 +502,16 @@ def dfa_to_regex(dfa: Dfa) -> Regex:
         return EMPTY
     START, END = -1, -2
     edges: dict[tuple[int, int], Regex] = {}
+    # the other ends of each state's in- and out-edges, loops left out,
+    # in the order the edges were made (which is their order in `edges`)
+    ins, outs = {}, {}
 
     def add(i, j, r):
         if r == EMPTY:
             return
-        prev = edges.get((i, j), EMPTY)
-        edges[(i, j)] = union(prev, r)
+        if (i, j) not in edges and i != j:
+            outs.setdefault(i, {})[j] = ins.setdefault(j, {})[i] = None
+        edges[(i, j)] = union(edges.get((i, j), EMPTY), r)
 
     for s in useful:
         for i, t in enumerate(dfa.transitions[s]):
@@ -545,22 +524,18 @@ def dfa_to_regex(dfa: Dfa) -> Regex:
     remaining = set(useful)
     while remaining:
         # eliminate the state with the fewest in*out edges first
-        def weight(s):
-            ins = sum(1 for (i, j) in edges if j == s and i != s)
-            outs = sum(1 for (i, j) in edges if i == s and j != s)
-            return ins * outs
-
-        s = min(remaining, key=weight)
+        s = min(remaining,
+                key=lambda s: len(ins.get(s, ())) * len(outs.get(s, ())))
         remaining.discard(s)
-        loop = edges.pop((s, s), EMPTY)
-        ins = [(i, r) for (i, j), r in list(edges.items()) if j == s]
-        outs = [(j, r) for (i, j), r in list(edges.items()) if i == s]
-        for (i, j) in list(edges):
-            if i == s or j == s:
-                del edges[(i, j)]
-        mid = star(loop)
-        for i, ri in ins:
-            for j, rj in outs:
+        mid = star(edges.pop((s, s), EMPTY))
+        into = [(i, edges.pop((i, s))) for i in ins.pop(s, ())]
+        out_of = [(j, edges.pop((s, j))) for j in outs.pop(s, ())]
+        for i, _ in into:
+            del outs[i][s]
+        for j, _ in out_of:
+            del ins[j][s]
+        for i, ri in into:
+            for j, rj in out_of:
                 add(i, j, cat(cat(ri, mid), rj))
     return edges.get((START, END), EMPTY)
 

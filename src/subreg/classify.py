@@ -264,24 +264,35 @@ def _classify_comb(an):
 
 def _def_window(dfa: Dfa):
     """Minimal k such that acceptance of length-k continuations agrees on
-    every state pair, or None if no such k exists.  A definite automaton
-    with n states is (n-1)-definite (Perles, Rabin & Shamir 1963), so k < n.
-    """
-    n = dfa.n_states
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    bad = {(p, q) for p, q in pairs if (p in dfa.finals) != (q in dfa.finals)}
-    for k in range(n):
-        if not bad:
-            return k
-        nxt = set()
-        for p, q in pairs:
-            for i in range(len(dfa.alphabet)):
-                tp, tq = dfa.transitions[p][i], dfa.transitions[q][i]
-                if tp != tq and (min(tp, tq), max(tp, tq)) in bad:
-                    nxt.add((p, q))
-                    break
-        bad = nxt
-    return None
+    every state pair, or None if no such k exists.  Some word tells apart
+    each pair p < q of a minimal DFA, so k is the number of pairs on the
+    longest walk by letters that keep pairs apart; one Kahn pass finds it
+    or a cycle."""
+    n, rows = dfa.n_states, dfa.transitions
+
+    def apart(p, q):  # the pairs, as ints p * n + q, one letter keeps apart
+        for tp, tq in zip(rows[p], rows[q]):
+            if tp != tq:
+                yield tp * n + tq if tp < tq else tq * n + tp
+
+    indegree = [0] * (n * n)
+    for p in range(n):
+        for q in range(p + 1, n):
+            for t in apart(p, q):
+                indegree[t] += 1
+    layer = [p * n + q for p in range(n) for q in range(p + 1, n)
+             if indegree[p * n + q] == 0]
+    k = 0
+    while layer:
+        k += 1
+        nxt = []
+        for pair in layer:
+            for t in apart(*divmod(pair, n)):
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    nxt.append(t)
+        layer = nxt
+    return None if any(indegree) else k  # a pair left over is on a cycle
 
 
 def _classify_def(an):
@@ -575,25 +586,42 @@ class _Split:
                     branch.append((s, a))
                 elif not self._place(s, a, self.first[d]):
                     return None
-        return self._descend(branch, 0, budget)
+        return self._descend(branch, budget)
 
-    def _descend(self, branch, i, budget):
-        if i == len(branch):
+    def _descend(self, branch, budget):
+        """Depth first over `branch`, one level per entry (s, a) trying the
+        targets of its move in turn.  The levels are on a stack, since a
+        large alphabet makes the branch deeper than the recursion limit."""
+        if not branch:
             return _order_from(self.pairs, budget)
-        s, a = branch[i]
-        d = self.dfa.transitions[self.owner[s]][a]
-        low = (self.rows[s - 1][a] if s > self.first[self.owner[s]]
-               else self.first[d])
-        for t in range(low, self.first[d] + self.mult[d]):
-            mark = len(self.pairs.trail)
-            if self._place(s, a, t):
-                _tick(budget)
-                order = self._descend(branch, i + 1, budget)
-                if order is not None:
-                    return order
-            self.pairs.undo(mark)
-        self.rows[s][a] = -1
-        return None
+        trail, undo = self.pairs.trail, self.pairs.undo
+        stack = []  # the levels above this one: s, a, targets left, mark
+        while True:
+            s, a = branch[len(stack)]
+            d = self.dfa.transitions[self.owner[s]][a]
+            low = (self.rows[s - 1][a] if s > self.first[self.owner[s]]
+                   else self.first[d])
+            targets = iter(range(low, self.first[d] + self.mult[d]))
+            mark = len(trail)
+            while True:  # place this level's next target, or back off
+                for t in targets:
+                    if self._place(s, a, t):
+                        _tick(budget)
+                        if len(stack) + 1 < len(branch):
+                            break
+                        order = _order_from(self.pairs, budget)
+                        if order is not None:
+                            return order
+                    undo(mark)
+                else:
+                    self.rows[s][a] = -1
+                    if not stack:
+                        return None
+                    s, a, targets, mark = stack.pop()
+                    undo(mark)
+                    continue
+                break
+            stack.append((s, a, targets, mark))
 
 
 def _classify_ord(an):

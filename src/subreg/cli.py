@@ -121,7 +121,8 @@ def _load_grammar(path: str) -> gr.ContextualGrammar:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an integer too long to convert, deep nesting
         raise InputError(f"cannot read grammar {path}: {exc}") from exc
     try:
         g = gr.grammar_from_json(data)
@@ -325,10 +326,6 @@ def main(argv=None) -> int:
         # be checked: a verification failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        # the regex functions recurse over the syntax tree
-        print("error: input nested too deeply", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -425,15 +425,13 @@ def random_corpus(count: int = 1000,
     rng = random.Random(seed)
     letters = [rx.Sym("a"), rx.Sym("b")]  # one leaf object per letter
     shared = {}
-    seen = set()
+    seen = set()  # equal trees are one object, so ids tell trees apart
     out = []
     while len(out) < count:
         r = _draw(rng, letters, 4, shared)
-        handle = LanguageHandle(("a", "b"), r, check=False)
-        if handle.regex in seen:
-            continue
-        seen.add(handle.regex)
-        out.append(handle)
+        if id(r) not in seen:
+            seen.add(id(r))
+            out.append(LanguageHandle(("a", "b"), r, check=False))
     return out
 
 

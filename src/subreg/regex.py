@@ -11,6 +11,11 @@ Concrete syntax:
 containing only the empty word).  Concatenation is left-associative and
 binds tighter than ``|``; star binds tightest.  There is no dedicated
 epsilon node: the empty word is representable only as ``Star(Empty)``.
+
+``fold`` is the one walk over a tree: printing, the queries, the
+rewrites and ``automata.compile_regex`` are folds, equality walks without
+recursion and the parser keeps one frame per open parenthesis, so tree
+depth is not limited by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -57,43 +62,101 @@ def make_alphabet(letters) -> tuple[str, ...]:
 
 
 class Regex:
-    """Base class of all syntax-tree nodes."""
+    """Base class of all syntax-tree nodes.  Equality and hashing are
+    structural and, like every other walk here, need no recursion."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return render(self)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return False if isinstance(other, Regex) else NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b):
+                return False
+            if kind is Star:
+                pairs.append((a.inner, b.inner))
+            elif kind is Cat or kind is Union:
+                pairs += ((a.right, b.right), (a.left, b.left))
+            elif kind is Sym and a.letter != b.letter:
+                return False
+        return True
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        return hash(render(self))  # equal trees print equally
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Empty(Regex):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sym(Regex):
     letter: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Cat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Union(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Star(Regex):
     inner: Regex
 
 
 EMPTY = Empty()
 EPSILON = Star(EMPTY)  # the only spelling of {lambda}
+
+
+# ---------------------------------------------------------------------------
+# The tree walk
+
+
+def fold(r: Regex, leaf, star, cat, union):
+    """Evaluate a tree bottom-up over an explicit stack: ``leaf(node)``
+    for Empty and Sym nodes, ``star(node, inner)``, ``cat(node, left,
+    right)`` and ``union(node, left, right)``, each given the values of
+    the node's subtrees.  Leaves are visited left to right."""
+    done = []  # the values of the finished subtrees, leftmost first
+    todo = [r]  # a None marks that the node below it has finished subtrees
+    while todo:
+        node = todo.pop()
+        if node is None:
+            node = todo.pop()
+            if type(node) is Star:
+                done[-1] = star(node, done[-1])
+            else:
+                right = done.pop()
+                done[-1] = (cat if type(node) is Cat else union)(
+                    node, done[-1], right)
+            continue
+        kind = type(node)
+        if kind is Cat or kind is Union:
+            # right first, so the left subtree is finished first
+            todo += (node, None, node.right, node.left)
+        elif kind is Star:
+            todo += (node, None, node.inner)
+        elif kind is Sym or kind is Empty:
+            done.append(leaf(node))
+        else:
+            raise TypeError(f"not a regex node: {node!r}")
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +193,7 @@ def star(inner: Regex) -> Regex:
 
 def word_regex(word: str) -> Regex:
     """The regex for the singleton language {word}; lambda is written ""."""
-    if word == "":
-        return EPSILON
-    r: Regex = Sym(word[0])
-    for a in word[1:]:
-        r = Cat(r, Sym(a))
-    return r
+    return _chain(Cat, [Sym(a) for a in word]) if word else EPSILON
 
 
 def finite_language_regex(words) -> Regex:
@@ -153,87 +211,67 @@ def finite_language_regex(words) -> Regex:
 
 def parse_regex(text: str, alphabet: tuple[str, ...]) -> Regex:
     """Parse the concrete syntax into a tree; letters are checked against
-    the declared alphabet."""
-    node, pos = _parse_union(text, 0, alphabet)
-    if pos != len(text):
-        raise RegexSyntaxError(f"unexpected {text[pos]!r}", pos)
-    return node
-
-
-# Recursive descent: each rule takes the text and a position and returns
-# the parsed node with the position after it.
-
-def _parse_union(text, pos, alphabet):
-    node, pos = _parse_concat(text, pos, alphabet)
-    while pos < len(text) and text[pos] == "|":
-        right, pos = _parse_concat(text, pos + 1, alphabet)
-        node = Union(node, right)
-    return node, pos
-
-
-def _parse_concat(text, pos, alphabet):
-    node, pos = _parse_piece(text, pos, alphabet)
-    while pos < len(text) and text[pos] not in "|)":
-        right, pos = _parse_piece(text, pos, alphabet)
-        node = Cat(node, right)
-    return node, pos
-
-
-def _parse_piece(text, pos, alphabet):
-    node, pos = _parse_atom(text, pos, alphabet)
-    while pos < len(text) and text[pos] == "*":
-        node, pos = Star(node), pos + 1
-    return node, pos
-
-
-def _parse_atom(text, pos, alphabet):
-    if pos >= len(text):
-        raise RegexSyntaxError("unexpected end of input", pos)
-    c = text[pos]
-    if c == "(":
-        node, pos = _parse_union(text, pos + 1, alphabet)
-        if pos >= len(text) or text[pos] != ")":
-            raise RegexSyntaxError("expected ')'", pos)
-        return node, pos + 1
-    if c == "0":
-        return EMPTY, pos + 1
-    if c == "1":
-        return EPSILON, pos + 1
-    if c in "|*)":
-        raise RegexSyntaxError(f"unexpected {c!r}", pos)
-    if c not in alphabet:
-        raise UnknownSymbolError(c)
-    return Sym(c), pos + 1
-
-
-_PREC_UNION, _PREC_CAT, _PREC_ATOM = 0, 1, 2
+    the declared alphabet.  Each ``(`` pushes a frame with the enclosing
+    alternatives and concatenation so far, and its ``)`` pops it."""
+    frames = []
+    alts = seq = None  # this level's finished alternatives, concatenation
+    pos, end = 0, len(text)
+    while True:
+        if pos >= end:
+            raise RegexSyntaxError("unexpected end of input", pos)
+        c = text[pos]
+        pos += 1
+        if c == "(":
+            frames.append((alts, seq))
+            alts = seq = None
+            continue
+        if c == "0":
+            node = EMPTY
+        elif c == "1":
+            node = EPSILON
+        elif c in "|*)":
+            raise RegexSyntaxError(f"unexpected {c!r}", pos - 1)
+        elif c not in alphabet:
+            raise UnknownSymbolError(c)
+        else:
+            node = Sym(c)
+        while True:  # node is a finished atom: a letter, 0, 1 or (...)
+            while pos < end and text[pos] == "*":
+                node, pos = Star(node), pos + 1
+            seq = node if seq is None else Cat(seq, node)
+            if pos < end and text[pos] != ")":
+                if text[pos] == "|":
+                    alts = seq if alts is None else Union(alts, seq)
+                    seq, pos = None, pos + 1
+                break  # an atom follows
+            node = seq if alts is None else Union(alts, seq)
+            if not frames:
+                if pos < end:
+                    raise RegexSyntaxError(f"unexpected {text[pos]!r}", pos)
+                return node
+            if pos >= end:
+                raise RegexSyntaxError("expected ')'", pos)
+            alts, seq = frames.pop()
+            pos += 1
 
 
 def render(r: Regex) -> str:
     """Deterministic pretty-printer with minimal parentheses."""
-    return _render(r, _PREC_UNION)
+    def starred(node, inner):
+        if type(node.inner) is Empty:
+            return "1"
+        return f"({inner})*" if type(node.inner) in (Cat, Union) else inner + "*"
 
-
-def _render(node, prec):
-    if node == EPSILON:
-        return "1"
-    if isinstance(node, Empty):
-        return "0"
-    if isinstance(node, Sym):
-        return node.letter
-    if isinstance(node, Star):
-        return _render(node.inner, _PREC_ATOM) + "*"
-    if isinstance(node, Cat):
+    def joined(node, left, right):
         # concatenation is associative, so a nested Cat on the right may
         # print without parentheses; reparsing then matches the
         # left-reassociated canonical form
-        s = _render(node.left, _PREC_CAT) + _render(node.right, _PREC_CAT)
-        return f"({s})" if prec > _PREC_CAT else s
-    if isinstance(node, Union):
-        s = (_render(node.left, _PREC_UNION) + "|"
-             + _render(node.right, _PREC_UNION))
-        return f"({s})" if prec > _PREC_UNION else s
-    raise TypeError(f"not a regex node: {node!r}")
+        if type(node.left) is Union:
+            left = f"({left})"
+        return left + (f"({right})" if type(node.right) is Union else right)
+
+    return fold(r, lambda node: node.letter if type(node) is Sym else "0",
+                starred, joined, lambda node, left, right: f"{left}|{right}")
 
 
 def canonical(r: Regex) -> Regex:
@@ -241,23 +279,27 @@ def canonical(r: Regex) -> Regex:
 
     parse_regex(render(r)) is structurally equal to canonical(r).
     """
-    if isinstance(r, Star):
-        inner = canonical(r.inner)
-        return r if inner == r.inner else Star(inner)
-    if isinstance(r, (Cat, Union)):
-        ctor = type(r)
-        parts, stack = [], [r]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ctor):
-                stack += (node.right, node.left)
-            else:
-                parts.append(canonical(node))
-        node = parts[0]
-        for p in parts[1:]:
-            node = ctor(node, p)
-        return node
-    return r
+    # a subtree's value is its chain type and the chain's operands, or
+    # None and the subtree itself
+    def chained(node, left, right):
+        kind = type(node)
+        parts = left[1] if left[0] is kind else [_chain(*left)]
+        parts += right[1] if right[0] is kind else [_chain(*right)]
+        return kind, parts
+
+    def starred(node, inner):
+        inner = _chain(*inner)
+        return None, [node if inner == node.inner else Star(inner)]
+
+    return _chain(*fold(r, lambda node: (None, [node]), starred,
+                        chained, chained))
+
+
+def _chain(kind, parts: list[Regex]) -> Regex:
+    node = parts[0]
+    for p in parts[1:]:
+        node = kind(node, p)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -266,34 +308,25 @@ def canonical(r: Regex) -> Regex:
 
 def is_syntactically_union_free(r: Regex) -> bool:
     """True iff no Union node occurs in the tree."""
-    if isinstance(r, Union):
-        return False
-    if isinstance(r, Cat):
-        return is_syntactically_union_free(r.left) and is_syntactically_union_free(r.right)
-    if isinstance(r, Star):
-        return is_syntactically_union_free(r.inner)
-    return True
+    return fold(r, lambda node: True, lambda node, inner: inner,
+                lambda node, left, right: left and right,
+                lambda node, left, right: False)
 
 
 def letters_of(r: Regex) -> frozenset[str]:
-    if isinstance(r, Sym):
-        return frozenset(r.letter)
-    if isinstance(r, (Cat, Union)):
-        return letters_of(r.left) | letters_of(r.right)
-    if isinstance(r, Star):
-        return letters_of(r.inner)
-    return frozenset()
+    def leaf(node):
+        return frozenset(node.letter if type(node) is Sym else "")
+
+    return fold(r, leaf, lambda node, inner: inner,
+                lambda node, left, right: left | right,
+                lambda node, left, right: left | right)
 
 
 def reverse_regex(r: Regex) -> Regex:
     """Regex for the reversed language (swaps concatenation operands)."""
-    if isinstance(r, Cat):
-        return Cat(reverse_regex(r.right), reverse_regex(r.left))
-    if isinstance(r, Union):
-        return Union(reverse_regex(r.left), reverse_regex(r.right))
-    if isinstance(r, Star):
-        return Star(reverse_regex(r.inner))
-    return r
+    return fold(r, lambda node: node, lambda node, inner: Star(inner),
+                lambda node, left, right: Cat(right, left),
+                lambda node, left, right: Union(left, right))
 
 
 class LanguageClass(enum.Enum):
@@ -305,29 +338,19 @@ class LanguageClass(enum.Enum):
 
 _LC_ORDER = [LanguageClass.EMPTY, LanguageClass.LAMBDA,
              LanguageClass.FINITE, LanguageClass.INFINITE]
+_INFINITE = 3
+
+# leaf, star, cat and union for `fold`, over indices into _LC_ORDER
+_LC_FOLD = (lambda node: 2 if type(node) is Sym else 0,
+            lambda node, inner: 1 if inner < 2 else _INFINITE,
+            lambda node, left, right: left and right and max(left, right),
+            lambda node, left, right: left if left > right else right)
 
 
 def language_class(r: Regex) -> LanguageClass:
     """Exact syntactic classification of L(r) into empty / {lambda} /
     finite / infinite."""
-    if isinstance(r, Empty):
-        return LanguageClass.EMPTY
-    if isinstance(r, Sym):
-        return LanguageClass.FINITE
-    if isinstance(r, Union):
-        a, b = language_class(r.left), language_class(r.right)
-        return max(a, b, key=_LC_ORDER.index)
-    if isinstance(r, Cat):
-        a, b = language_class(r.left), language_class(r.right)
-        if LanguageClass.EMPTY in (a, b):
-            return LanguageClass.EMPTY
-        return max(a, b, key=_LC_ORDER.index)
-    if isinstance(r, Star):
-        inner = language_class(r.inner)
-        if inner in (LanguageClass.EMPTY, LanguageClass.LAMBDA):
-            return LanguageClass.LAMBDA
-        return LanguageClass.INFINITE
-    raise TypeError(f"not a regex node: {r!r}")
+    return _LC_ORDER[fold(r, *_LC_FOLD)]
 
 
 def words_up_to(r: Regex, n: int) -> frozenset[str]:
@@ -335,45 +358,26 @@ def words_up_to(r: Regex, n: int) -> frozenset[str]:
 
     Independent of the automata pipeline; used as a semantic oracle.
     """
-    return _words(r, n, {})
+    def leaf(node):
+        return frozenset({node.letter} if type(node) is Sym and n >= 1 else ())
 
-
-def _words(node, limit, memo) -> frozenset[str]:
-    key = (node, limit)
-    if key in memo:
-        return memo[key]
-    if isinstance(node, Empty):
-        out = frozenset()
-    elif isinstance(node, Sym):
-        out = frozenset({node.letter}) if limit >= 1 else frozenset()
-    elif isinstance(node, Union):
-        out = _words(node.left, limit, memo) | _words(node.right, limit, memo)
-    elif isinstance(node, Cat):
-        left = _words(node.left, limit, memo)
-        acc = set()
-        for u in left:
-            rest = limit - len(u)
-            for v in _words(node.right, rest, memo):
-                acc.add(u + v)
-        out = frozenset(acc)
-    elif isinstance(node, Star):
-        base = _words(node.inner, limit, memo) - {""}
-        acc = {""}
-        frontier = {""}
+    def starred(node, inner):
+        base = inner - {""}
+        acc = frontier = {""}
         while frontier:
-            new = set()
-            for u in frontier:
-                for v in base:
-                    w = u + v
-                    if len(w) <= limit and w not in acc:
-                        new.add(w)
-            acc |= new
-            frontier = new
-        out = frozenset(acc)
-    else:
-        raise TypeError(f"not a regex node: {node!r}")
-    memo[key] = out
-    return out
+            frontier = {w for u in frontier for v in base
+                        if len(w := u + v) <= n} - acc
+            acc = acc | frontier
+        return frozenset(acc)
+
+    def joined(node, left, right):
+        by_length = [[] for _ in range(n + 1)]
+        for v in right:
+            by_length[len(v)].append(v)
+        return frozenset(u + v for u in left
+                         for k in range(n + 1 - len(u)) for v in by_length[k])
+
+    return fold(r, leaf, starred, joined, lambda node, left, right: left | right)
 
 
 # ---------------------------------------------------------------------------
@@ -387,31 +391,17 @@ def union_normal_form(r: Regex) -> list[Regex]:
     Uses distributivity of concatenation over union and the identity
     (R|S)* = (R*S*)*; structurally equal duplicates are dropped.
     """
-    out: list[Regex] = []
-    for comp in _union_components(r):
-        if comp not in out:
-            out.append(comp)
-    return out
-
-
-def _union_components(node) -> list[Regex]:
-    if isinstance(node, Union):
-        return _union_components(node.left) + _union_components(node.right)
-    if isinstance(node, Cat):
-        rights = _union_components(node.right)
-        return [cat(l, rr) for l in _union_components(node.left)
-                for rr in rights]
-    if isinstance(node, Star):
-        comps = _union_components(node.inner)
-        if not comps:
-            return [EPSILON]
-        if len(comps) == 1:
-            return [star(comps[0])]
+    def starred(node, comps):
         body = star(comps[0])
         for c in comps[1:]:
             body = cat(body, star(c))
         return [star(body)]
-    return [node]
+
+    comps = fold(r, lambda node: [node], starred,
+                 lambda node, left, right: [cat(l, rr) for l in left
+                                            for rr in right],
+                 lambda node, left, right: left + right)
+    return list(dict.fromkeys(comps)) if len(comps) > 1 else comps
 
 
 class DecompositionError(RegexError):
@@ -428,18 +418,28 @@ def star_decomposition(r: Regex) -> tuple[Regex, Regex, Regex]:
     """
     if not is_syntactically_union_free(r):
         raise DecompositionError("regex contains a union operator")
-    if language_class(r) is not LanguageClass.INFINITE:
+    infinite_left = set()  # the ids of the Cat nodes with an infinite left
+    leaf, starred, joined, either = _LC_FOLD
+
+    def noted(node, left, right):
+        if left == _INFINITE:
+            infinite_left.add(id(node))
+        return joined(node, left, right)
+
+    if fold(r, leaf, starred, noted, either) != _INFINITE:
         raise DecompositionError("language is finite")
-    return _star_split(r)
-
-
-def _star_split(node):
-    if isinstance(node, Star):
-        return (EPSILON, node.inner, EPSILON)
-    if isinstance(node, Cat):
-        if language_class(node.left) is LanguageClass.INFINITE:
-            l, m, rr = _star_split(node.left)
-            return (l, m, cat(rr, node.right))
-        l, m, rr = _star_split(node.right)
-        return (cat(node.left, l), m, rr)
-    raise DecompositionError(f"cannot split {render(node)}")
+    # walk down the infinite factors to a star, outermost factors first
+    lefts, rights = [], []
+    while type(r) is Cat:
+        if id(r) in infinite_left:
+            rights.append(r.right)
+            r = r.left
+        else:
+            lefts.append(r.left)
+            r = r.right
+    left = right = EPSILON
+    for x in reversed(lefts):
+        left = cat(x, left)
+    for x in reversed(rights):
+        right = cat(right, x)
+    return left, r.inner, right

@@ -568,6 +568,12 @@ class TestDefiniteOracle:
                 assert cl.verify_certificate(h, Family.DEF, v.certificate)
         assert (len(dfas), yes) == (1054, 56)
 
+    def test_window_of_a_long_word(self):
+        # the pairs of a^600's 602 states admit a walk through 601 pairs
+        h = LanguageHandle.from_text("a" * 600, ("a", "b"))
+        v = cl.classify(h, Family.DEF)
+        assert v.outcome is Outcome.YES and v.certificate["window"] == 601
+
     def test_b_lists_words_in_product_order(self):
         dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
         for dfa in dfas:

@@ -81,13 +81,18 @@ class TestClassify:
         assert code == 2 and out == ""
         assert flag in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("text", ["a" * 2000,
-                                      "(" * 3000 + "a" + ")" * 3000],
-                             ids=["long_word", "deep_parentheses"])
-    def test_deep_nesting_is_input_error(self, capsys, text):
-        code, out, err = run(capsys, "classify", text, "--alphabet", "a")
-        assert code == 2 and out == ""
-        assert err == "error: input nested too deeply\n"
+    @pytest.mark.parametrize("text, alphabet", [
+        ("(" * 3000 + "a" + ")" * 3000, "ab"), ("a*" * 2000, "ab"),
+        ("a" * 600, "ab"), ("ab", "ab" + "".join(map(chr, range(256, 556))))],
+        ids=["deep_parentheses", "long_star_chain", "long_word",
+             "large_alphabet"])
+    def test_deep_input_is_classified(self, capsys, text, alphabet):
+        # each tree, or the ORD search over 302 letters, is deeper than the
+        # interpreter's recursion limit
+        code, out, err = run(capsys, "classify", text, "--alphabet", alphabet,
+                             "--format", "json")
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["verdicts"]) == 18
 
     def test_consistency_error_is_verification_failure(self, capsys,
                                                         monkeypatch):
@@ -216,6 +221,19 @@ class TestGrammar:
         p.write_text("{not json")
         code, _, _ = run(capsys, "grammar", "validate", str(p))
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"alphabet": ' + "1" * 5000 + "}"],
+                             ids=["deep_nesting", "long_integer"])
+    def test_undecodable_json_is_input_error(self, capsys, tmp_path, text):
+        # the decoder recurses into nested values and refuses integers of
+        # more than 4300 digits
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        code, out, err = run(capsys, "grammar", "validate", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read grammar")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [
         ["validate"], ["enum"], ["member", "a"], ["classify"],

@@ -3,7 +3,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subreg import regex as rx
+from subreg import automata as au, regex as rx
 
 AB = ("a", "b")
 
@@ -130,6 +130,67 @@ def test_calls_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _cat_chain():  # a* b^5000, nested to the left
+    r = rx.Star(rx.Sym("a"))
+    for _ in range(5000):
+        r = rx.Cat(r, rx.Sym("b"))
+    return r
+
+
+def _star_chain():  # a with 5000 stars
+    r = rx.Sym("a")
+    for _ in range(5000):
+        r = rx.Star(r)
+    return r
+
+
+# name: (tree builder, rendered reversal, union-free, class, words up to
+# length 4, union normal form, star decomposition or None, NFA states,
+# a word in the language and one not in it)
+DEEP = {
+    "cat_chain": (
+        _cat_chain, "b" * 5000 + "a*", True, rx.LanguageClass.INFINITE,
+        set(), lambda r: [r],
+        (rx.EPSILON, rx.Sym("a"), rx.word_regex("b" * 5000)),
+        5002, "a" + "b" * 5000, "b" * 4999),
+    "star_chain": (
+        _star_chain, "a" + "*" * 5000, True, rx.LanguageClass.INFINITE,
+        {"", "a", "aa", "aaa", "aaaa"}, lambda r: [rx.Star(rx.Sym("a"))],
+        (rx.EPSILON, _star_chain().inner, rx.EPSILON), 2, "aaa", "b"),
+    "nested_parentheses": (
+        lambda: rx.parse_regex("(a|" * 5000 + "b" + ")" * 5000, AB),
+        "a|" * 5000 + "b", False, rx.LanguageClass.FINITE, {"a", "b"},
+        lambda r: [rx.Sym("a"), rx.Sym("b")], None, 5002, "b", "ab"),
+}
+
+
+@pytest.mark.parametrize("name", list(DEEP))
+def test_trees_deeper_than_the_recursion_limit(name):
+    (build, reversed_text, union_free, lc, short_words, unf, split,
+     n_states, member, non_member) = DEEP[name]
+    r, twin = build(), build()
+    assert r is not twin and r == twin and hash(r) == hash(twin)
+    assert r != rx.Cat(twin, rx.EPSILON)
+    text = rx.render(r)
+    assert rx.parse_regex(text, AB) == rx.canonical(r)
+    assert rx.render(rx.canonical(r)) == text
+    assert rx.letters_of(r) == set(text) - set("|*")
+    assert rx.is_syntactically_union_free(r) is union_free
+    assert rx.language_class(r) is lc
+    assert rx.render(rx.reverse_regex(r)) == reversed_text
+    assert rx.words_up_to(r, 4) == short_words
+    assert rx.union_normal_form(r) == unf(r)
+    if split is None:
+        with pytest.raises(rx.DecompositionError):
+            rx.star_decomposition(r)
+    else:
+        assert rx.star_decomposition(r) == split
+    nfa = au.compile_regex(r, AB)
+    assert nfa.n_states == n_states
+    dfa = au.determinize(nfa)
+    assert dfa.accepts(member) and not dfa.accepts(non_member)
 
 
 class TestStarDecomposition:
