@@ -587,6 +587,101 @@ class TestDefiniteOracle:
             assert cl._definite_words(dfa, k) == want, au.dfa_to_text(dfa)
 
 
+# ---------------------------------------------------------------------------
+# NC, SF and PS against their definitions
+
+
+def _runner(dfa: Dfa):
+    """run(q, w): the state that the word w leads to from the state q."""
+    moves = dict(zip(dfa.alphabet, zip(*dfa.transitions)))
+
+    def run(q, w):
+        for a in w:
+            q = moves[a][q]
+        return q
+    return run
+
+
+def _covering_words(dfa: Dfa, run) -> list[str]:
+    """The words of length <= l, for the first l at which every word of
+    length l + 1 acts on the states as some shorter word does; the maps
+    of these words are then the whole transition monoid."""
+    def action(w):
+        return tuple(run(q, w) for q in range(dfa.n_states))
+
+    words, maps, layer = [""], {action("")}, [""]
+    while True:
+        layer = [w + a for w in layer for a in dfa.alphabet]
+        actions = {action(w) for w in layer}
+        if actions <= maps:
+            # closed under each letter, so every word's map is among them
+            assert all(action(w + a) in maps for w in words
+                       for a in dfa.alphabet)
+            return words
+        words += layer
+        maps |= actions
+
+
+def _power_bounds_by_words(dfa: Dfa):
+    """(PS bound, tail, NC bound) from running the powers of each covering
+    word w on the DFA.  The PS bound is the smallest m >= 1 such that
+    w^j in L is the same for every j >= m, and tail the largest number of
+    powers of w that the start state reads before its orbit cycles; the
+    NC bound is the smallest k >= 1 with delta(s, w^k) = delta(s, w^(k+1))
+    for every state s.  A bound is None when no m or k works: by j = n
+    every orbit of an n-state DFA is on its cycle, so checking up to 2n
+    suffices."""
+    n = dfa.n_states
+    run = _runner(dfa)
+    power = []  # power[i][j][q] = delta(q, w^j) for the i-th word w
+    for w in _covering_words(dfa, run):
+        powers = [tuple(range(n))]
+        for _ in range(2 * n):
+            powers.append(tuple(run(q, w) for q in powers[-1]))
+        power.append(powers)
+    ps = next((m for m in range(1, n + 1)
+               if all(len({p[dfa.start] in dfa.finals for p in powers[m:]})
+                      == 1 for powers in power)), None)
+    tail = max(min(j for j in range(n + 1)
+                   if powers[j][dfa.start] in {p[dfa.start]
+                                               for p in powers[j + 1:]})
+               for powers in power)
+    nc = next((k for k in range(1, n + 1)
+               if all(powers[k] == powers[k + 1] for powers in power)),
+              None)
+    return ps, tail, nc
+
+
+class TestPowerOracle:
+    def test_every_minimal_dfa_up_to_three_states(self):
+        dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
+        yes = {Family.PS: 0, Family.NC: 0}
+        for dfa in dfas:
+            h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
+            v = {f: cl.classify(h, f) for f in (Family.PS, Family.NC,
+                                                Family.SF)}
+            ps, tail, nc = _power_bounds_by_words(dfa)
+            for family, bound in ((Family.PS, ps), (Family.NC, nc)):
+                assert (v[family].outcome is Outcome.YES) == \
+                    (bound is not None), (family, au.dfa_to_text(dfa))
+                # a bound checks exactly when the definition holds with it
+                for k in range(1, 2 * dfa.n_states + 1):
+                    assert cl.verify_certificate(h, family, {"bound": k}) \
+                        == (bound is not None and k >= bound), \
+                        (family, k, au.dfa_to_text(dfa))
+                if bound is not None:
+                    yes[family] += 1
+            if ps is not None:
+                # PS gives the start state's longest tail, at least 1
+                assert v[Family.PS].certificate == {"bound": max(1, tail)}
+            if nc is not None:
+                assert v[Family.NC].certificate == {"bound": nc}
+            assert v[Family.SF] == dataclasses.replace(v[Family.NC],
+                                                       family=Family.SF)
+        assert len(dfas) == 1054
+        assert {f.value: n for f, n in yes.items()} == {"PS": 242, "NC": 174}
+
+
 class TestCometOracle:
     def test_every_minimal_dfa_up_to_three_states(self):
         dfas = sorted(set().union(*(_minimal_dfas(n) for n in (1, 2, 3))),
