@@ -456,39 +456,22 @@ def residual(dfa: Dfa, state: int) -> Dfa:
 # Transition monoid
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionMonoidElement:
-    """A state map induced by some word, with a shortest representative."""
-
-    mapping: tuple[int, ...]
-    word: str
-
-
-def transition_monoid(dfa: Dfa, cap: int = 10 ** 6) -> list[TransitionMonoidElement]:
-    """All distinct state maps induced by words, closed under composition.
-
-    BFS over words in length-lex order, so the stored representative of
-    each map is shortest (ties broken lexicographically).
-    """
-    n = dfa.n_states
-    identity = tuple(range(n))
-    letter_maps = [
-        tuple(dfa.transitions[s][i] for s in range(n))
-        for i in range(len(dfa.alphabet))
-    ]
-    seen = {identity: ""}
-    queue = deque([identity])
-    while queue:
-        m = queue.popleft()
-        w = seen[m]
-        for i, lm in enumerate(letter_maps):
-            comp = tuple(lm[m[s]] for s in range(n))
+def transition_monoid(dfa: Dfa, cap: int = 10 ** 6) -> list[tuple[int, ...]]:
+    """The distinct state maps that words induce, each a tuple sending
+    state q to its image, in breadth-first order from the identity (the
+    empty word's map) by one letter at a time."""
+    letter_maps = list(zip(*dfa.transitions))
+    maps = [tuple(range(dfa.n_states))]
+    seen = set(maps)
+    for m in maps:  # grows while it is read: breadth-first order
+        for lm in letter_maps:
+            comp = tuple(lm[q] for q in m)
             if comp not in seen:
-                if len(seen) >= cap:
+                if len(maps) >= cap:
                     raise ResourceCapExceeded(f"transition monoid exceeds cap {cap}")
-                seen[comp] = w + dfa.alphabet[i]
-                queue.append(comp)
-    return [TransitionMonoidElement(m, w) for m, w in seen.items()]
+                seen.add(comp)
+                maps.append(comp)
+    return maps
 
 
 # ---------------------------------------------------------------------------

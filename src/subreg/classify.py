@@ -682,39 +682,32 @@ def _classify_circ(an):
         for i in range(len(dfa.alphabet))))
 
 
-def _power_profile(mapping, start):
-    """Orbit of `start` under repeated application: returns (sequence,
-    preperiod, period)."""
-    seq = []
-    seen = {}
-    s = start
-    while True:
-        s = mapping[s]
-        if s in seen:
-            pre = seen[s]
-            return seq, pre, len(seq) - pre
-        seen[s] = len(seq)
-        seq.append(s)
-
-
 def aperiodicity_bound(monoid) -> int | None:
-    """Smallest k with t^k = t^(k+1) for every element t of a transition
-    monoid, or None if some element is not eventually idempotent (i.e.
-    the monoid is not aperiodic)."""
+    """Smallest k >= 1 with t^k = t^(k+1) for every state map t of a
+    transition monoid, or None if the monoid is not aperiodic.  t^k =
+    t^(k+1) exactly when t^k sends every state to a fixed point of t, so
+    one walk over t's functional graph finds the most steps any state
+    takes to reach one, and a cycle through two or more states means no
+    k works."""
     bound = 1
-    for elem in monoid:
-        powers = {}
-        t = power = elem.mapping
-        i = 1
-        while power not in powers:
-            powers[power] = i
-            power = tuple(t[q] for q in power)
-            i += 1
-        first = powers[power]
-        cycle = i - first
-        if cycle != 1:
-            return None
-        bound = max(bound, first)
+    for t in monoid:
+        # steps to a fixed point; -1 not yet known, -2 on the current walk
+        steps = [0 if p == q else -1 for q, p in enumerate(t)]
+        for q in range(len(t)):
+            if steps[q] >= 0:
+                continue
+            walk = []
+            while steps[q] < 0:
+                if steps[q] == -2:  # a cycle through two or more states
+                    return None
+                steps[q] = -2
+                walk.append(q)
+                q = t[q]
+            d = steps[q]
+            for p in reversed(walk):
+                d += 1
+                steps[p] = d
+        bound = max(bound, max(steps))
     return bound
 
 
@@ -728,17 +721,29 @@ def _classify_nc(an):
     return _yes(Family.NC, {"bound": an.aperiodicity})
 
 
+def _start_orbit(t, start):
+    """The states t^j(start) for j = 0, 1, ... up to the first repeat,
+    and the j at which the cycle that the repeat closes begins."""
+    orbit, index = [], {}
+    q = start
+    while q not in index:
+        index[q] = len(orbit)
+        orbit.append(q)
+        q = t[q]
+    return orbit, index[q]
+
+
 def _classify_ps(an):
+    # w^j in L reads t^j(start) in F for the map t of w: its cycle must
+    # lie inside F or outside it, and the bound is the longest tail
     dfa = an.dfa
-    worst = 0
-    for elem in an.monoid:
-        seq, pre, period = _power_profile(elem.mapping, dfa.start)
-        cycle_states = seq[pre:]
-        accept = [s in dfa.finals for s in cycle_states]
-        if any(accept) and not all(accept):
+    worst = 1
+    for t in an.monoid:
+        orbit, tail = _start_orbit(t, dfa.start)
+        if len({q in dfa.finals for q in orbit[tail:]}) > 1:
             return _no(Family.PS)
-        worst = max(worst, pre)
-    return _yes(Family.PS, {"bound": worst + 1})
+        worst = max(worst, tail)
+    return _yes(Family.PS, {"bound": worst})
 
 
 def _classify_star(an):
@@ -1193,17 +1198,11 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
             raise CertificateError("bound must be a positive integer")
         monoid = transition_monoid(dfa, config.monoid_cap)
         if family is Family.PS:
-            for elem in monoid:
-                seq, pre, period = _power_profile(elem.mapping, dfa.start)
-                tail = seq[min(k - 1, len(seq) - period):]
-                accept = [s in dfa.finals for s in tail]
-                if any(accept) and not all(accept):
-                    return False
-                if pre + 1 > k and len({s in dfa.finals for s in seq[k - 1:]}) > 1:
-                    return False
-            return True
-        for elem in monoid:
-            t = elem.mapping
+            # the states t^j(start), j >= k, agree on F
+            return all(len({q in dfa.finals for q in orbit[min(k, tail):]}) < 2
+                       for orbit, tail in (_start_orbit(t, dfa.start)
+                                           for t in monoid))
+        for t in monoid:  # t^k = t^(k+1)
             power = tuple(range(dfa.n_states))
             for _ in range(k):
                 power = tuple(t[q] for q in power)

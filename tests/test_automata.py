@@ -146,10 +146,17 @@ class TestTransitionMonoid:
         elems = au.transition_monoid(d)
         assert len(elems) == 2
 
-    def test_monoid_words_are_shortest(self):
+    def test_monoid_is_the_maps_of_words(self):
         d = dfa("(a|b)*b")
-        for e in au.transition_monoid(d):
-            assert len(e.word) <= d.n_states ** d.n_states
+        maps = au.transition_monoid(d)
+        assert len(set(maps)) == len(maps)
+        assert maps[0] == tuple(range(d.n_states))
+        letters = list(zip(*d.transitions))
+        assert {tuple(lm[q] for q in m) for m in maps for lm in letters} \
+            <= set(maps)
+        by_words = {tuple(au.residual(d, q).run(w) for q in range(d.n_states))
+                     for w in all_words(AB, 4)}
+        assert set(maps) == by_words
 
 
 class TestTextFormats:
