@@ -70,6 +70,17 @@ class Regex:
     def __str__(self) -> str:
         return render(self)
 
+    def __repr__(self) -> str:
+        # the dataclass text, built by a fold so that depth does not matter
+        def leaf(node):
+            return (f"Sym(letter={node.letter!r})" if type(node) is Sym
+                    else "Empty()")
+
+        def pair(node, left, right):
+            return f"{type(node).__name__}(left={left}, right={right})"
+        return fold(self, leaf, lambda node, inner: f"Star(inner={inner})",
+                    pair, pair)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return False if isinstance(other, Regex) else NotImplemented
@@ -93,29 +104,29 @@ class Regex:
         return hash(render(self))  # equal trees print equally
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Empty(Regex):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Sym(Regex):
     letter: str
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Cat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Union(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Star(Regex):
     inner: Regex
 

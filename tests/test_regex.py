@@ -193,6 +193,16 @@ def test_trees_deeper_than_the_recursion_limit(name):
     assert dfa.accepts(member) and not dfa.accepts(non_member)
 
 
+def test_repr_is_the_dataclass_text_at_any_depth():
+    assert repr(rx.Cat(rx.Sym("a"), rx.Sym("b"))) == (
+        "Cat(left=Sym(letter='a'), right=Sym(letter='b'))")
+    assert repr(rx.Union(rx.Star(rx.Sym("a")), rx.EMPTY)) == (
+        "Union(left=Star(inner=Sym(letter='a')), right=Empty())")
+    text = repr(rx.word_regex("a" * 2000))
+    assert text.count("Cat(left=") == 1999
+    assert text.count("Sym(letter='a')") == 2000
+
+
 class TestStarDecomposition:
     def test_requires_union_free_infinite(self):
         with pytest.raises(rx.DecompositionError):
