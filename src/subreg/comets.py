@@ -129,10 +129,11 @@ def finite_first_tail(d: CometDecomposition) -> tuple[list[str], rx.Regex, rx.Re
     return result
 
 
-def left_normal_form(d: CometDecomposition) -> NormalFormResult:
-    parts = decompose_first_tail(d)
+def _left_components(d: CometDecomposition) -> tuple[list[Component], bool]:
+    """The components of the left normal form, each with a finite first
+    tail, and whether they merged into a single comet."""
     components = []
-    for part in parts:
+    for part in decompose_first_tail(d):
         words, mid, last = finite_first_tail(part)
         components.append(Component(tuple(words), rx.finite_language_regex(words),
                                     mid, last))
@@ -142,51 +143,50 @@ def left_normal_form(d: CometDecomposition) -> NormalFormResult:
     if nonempty:
         components = nonempty
 
-    single = False
     if len(components) == 1:
-        single = True
-    else:
-        keys = [(dfa_of(c.middle, d.alphabet), dfa_of(c.last, d.alphabet))
-                for c in components]
-        if all(k == keys[0] for k in keys[1:]):
-            merged = sorted({w for c in components for w in c.first_words},
-                            key=lambda w: (len(w), w))
-            components = [Component(tuple(merged),
-                                    rx.finite_language_regex(merged),
-                                    components[0].middle,
-                                    components[0].last)]
-            single = True
+        return components, True
+    keys = [(dfa_of(c.middle, d.alphabet), dfa_of(c.last, d.alphabet))
+            for c in components]
+    if any(k != keys[0] for k in keys[1:]):
+        return components, False
+    merged = sorted({w for c in components for w in c.first_words},
+                    key=lambda w: (len(w), w))
+    return [Component(tuple(merged), rx.finite_language_regex(merged),
+                      components[0].middle, components[0].last)], True
 
+
+def _verified(d: CometDecomposition, components, single: bool,
+              side: str) -> NormalFormResult:
+    """The normal form, with whether the union of its components is L(d)."""
     union = rx.EMPTY
     for c in components:
         union = rx.union(union, c.regex())
     verified = automata.equivalent(dfa_of(union, d.alphabet), d.language_dfa())
     return NormalFormResult(d.alphabet, tuple(components), single, verified,
-                            "left")
+                            side)
+
+
+def left_normal_form(d: CometDecomposition) -> NormalFormResult:
+    return _verified(d, *_left_components(d), "left")
 
 
 def right_normal_form(d: CometDecomposition) -> NormalFormResult:
-    reversed_input = CometDecomposition(
+    # the left normal form of the mirror image, mirrored back
+    components, single = _left_components(CometDecomposition(
         d.alphabet,
         rx.reverse_regex(d.last),
         rx.reverse_regex(d.middle),
         rx.reverse_regex(d.first),
-    )
-    left = left_normal_form(reversed_input)
-    components = []
-    for c in left.components:
+    ))
+    mirrored = []
+    for c in components:
         words = tuple(sorted((w[::-1] for w in c.first_words),
                              key=lambda w: (len(w), w)))
-        components.append(Component(
+        mirrored.append(Component(
             None,
             rx.reverse_regex(c.last),
             rx.reverse_regex(c.middle),
             rx.finite_language_regex(words),
             last_words=words,
         ))
-    union = rx.EMPTY
-    for c in components:
-        union = rx.union(union, c.regex())
-    verified = automata.equivalent(dfa_of(union, d.alphabet), d.language_dfa())
-    return NormalFormResult(d.alphabet, tuple(components), left.single_comet,
-                            verified, "right")
+    return _verified(d, mirrored, single, "right")
