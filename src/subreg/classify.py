@@ -1198,10 +1198,11 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
             raise CertificateError("bound must be a positive integer")
         monoid = transition_monoid(dfa, config.monoid_cap)
         if family is Family.PS:
-            # the states t^j(start), j >= k, agree on F
-            return all(len({q in dfa.finals for q in orbit[min(k, tail):]}) < 2
-                       for orbit, tail in (_start_orbit(t, dfa.start)
-                                           for t in monoid))
+            for t in monoid:  # the states t^j(start), j >= k, agree on F
+                orbit, tail = _start_orbit(t, dfa.start)
+                if len({q in dfa.finals for q in orbit[min(k, tail):]}) > 1:
+                    return False
+            return True
         for t in monoid:  # t^k = t^(k+1)
             power = tuple(range(dfa.n_states))
             for _ in range(k):

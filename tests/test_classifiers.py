@@ -615,8 +615,9 @@ def _covering_words(dfa: Dfa, run) -> list[str]:
         actions = {action(w) for w in layer}
         if actions <= maps:
             # closed under each letter, so every word's map is among them
-            assert all(action(w + a) in maps for w in words
-                       for a in dfa.alphabet)
+            letters = list(zip(*dfa.transitions))
+            assert {tuple(lm[q] for q in m) for m in maps
+                    for lm in letters} <= maps
             return words
         words += layer
         maps |= actions
