@@ -6,7 +6,9 @@ the pytest report.
 """
 
 import functools
+import hashlib
 import itertools
+import json
 import random
 import sys
 from unittest import mock
@@ -250,14 +252,18 @@ def test_criterion_9_hierarchy_verification():
     assert report["n_failed"] == 0, report["failed"]
     for item in report["skipped"]:
         assert item["reason"], item
-    # the corpus pass also checks the golden 2COM verdicts, so the suite
-    # classifies the corpus once
+    # the corpus pass also checks the golden 2COM verdicts and pins the
+    # sha256 of every verdict's JSON (sorted keys, in corpus and Family
+    # order, under CORPUS_CONFIG), so the suite classifies the corpus once
     lines = []
+    digest = hashlib.sha256()
     real = cl.classify_all
 
     def spy(handle, config):
         verdicts = real(handle, config)
         lines.append(twocom_line(handle, verdicts))
+        for v in verdicts.values():
+            digest.update(json.dumps(v.to_json(), sort_keys=True).encode())
         return verdicts
 
     with mock.patch.object(cl, "classify_all", spy):
@@ -265,3 +271,5 @@ def test_criterion_9_hierarchy_verification():
     assert edges["corpus_size"] >= 1000
     assert edges["n_violations"] == 0, edges["violations"]
     assert lines == read_golden("twocom_corpus.jsonl")
+    assert digest.hexdigest() == (
+        "1d7e436a6d2b5c5164b700b5191a90c2534f1c045334fc9394e331789e48c671")
