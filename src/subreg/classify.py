@@ -214,11 +214,9 @@ class _Analysis:
         return list(zip(*self.dfa.transitions))
 
     @_fact
-    def above(self) -> int:
-        """The bitmask of the states q with L <= L_q (STAR and RCOM)."""
-        dfa = self.dfa
-        return sum(1 << q for q in range(dfa.n_states)
-                   if subset(dfa, residual(dfa, q)))
+    def outside(self) -> list[int]:
+        """`_outside` of the DFA (SUF, STAR and RCOM)."""
+        return _outside(self.dfa)
 
     @_fact
     def comet_sets(self):
@@ -236,7 +234,7 @@ class _Analysis:
 # ---------------------------------------------------------------------------
 # Individual deciders; each takes the `_Analysis` of L.  Each state of
 # the minimal DFA is reachable, and is a residual of L (Myhill-Nerode), so
-# MON, COMM, CIRC and STAR are checks over its states.
+# MON, SUF, COMM, CIRC and STAR are checks over its states.
 
 
 def _classify_mon(an):
@@ -332,12 +330,9 @@ def _definite_words(dfa: Dfa, k: int) -> list[str]:
 
 
 def _classify_suf(an):
-    # L is suffix-closed when the union of its residuals lies inside it.
-    # One subset construction from all states checks that; a subset test
-    # per residual would take time cubic in the states
-    nfa = to_nfa(an.dfa)
-    nfa.initials = frozenset(range(an.dfa.n_states))
-    return _holds(Family.SUF, subset(determinize(nfa), an.dfa))
+    # L is suffix-closed when every residual lies inside L = L_start
+    start = an.dfa.start
+    return _holds(Family.SUF, not any(m >> start & 1 for m in an.outside))
 
 
 class _SearchCapHit(Exception):
@@ -751,16 +746,16 @@ def _classify_star(an):
     # L <= L_f for each final state f, which some word of L reaches
     dfa = an.dfa
     finals = sum(1 << q for q in dfa.finals)
-    if dfa.start in dfa.finals and not finals & ~an.above:
+    if dfa.start in dfa.finals and not finals & an.outside[dfa.start]:
         return _yes(Family.STAR, {"H": an.l.text})
     return _no(Family.STAR)
 
 
 def _classify_rcom(an):
     # g.L <= L iff L <= g^-1 L, the residual at the state g reaches
-    above = an.above
+    outside = an.outside[an.dfa.start]
     g = _stable_word(an, _image, 1 << an.dfa.start,
-                     lambda s: not s & ~above, _SUBSET_CAP)
+                     lambda s: not s & outside, _SUBSET_CAP)
     if g is None:
         return _no(Family.RCOM)
     # render(word_regex(g)) is g itself
@@ -791,6 +786,30 @@ def _image(states: int, column) -> int:
 def _preimage(states: int, column) -> int:
     """The bitmask of the states that move into `states`."""
     return sum(1 << q for q, t in enumerate(column) if states >> t & 1)
+
+
+def _outside(dfa: Dfa) -> list[int]:
+    """For each state p, the bitmask of the states q with L_p not inside
+    L_q, found backwards from F x (Q - F) by letter preimages, each pair
+    once: the one-sided table filling for distinguishable pairs."""
+    n = dfa.n_states
+    rejects = (1 << n) - 1 - sum(1 << q for q in dfa.finals)
+    pre = [[0] * n for _ in dfa.alphabet]  # pre[i][t]: the states i takes to t
+    for s, row in enumerate(dfa.transitions):
+        for column, t in zip(pre, row):
+            column[t] |= 1 << s
+    outside = [rejects if p in dfa.finals else 0 for p in range(n)]
+    fresh = dict(enumerate(outside))  # the pairs not yet walked back
+    while fresh:
+        p, qs = fresh.popitem()
+        for column in pre:  # the preimages of distinct states are disjoint
+            into = sum(column[q] for q in automata._bits(qs))
+            for s in automata._bits(column[p]):
+                new = into & ~outside[s]
+                if new:
+                    outside[s] |= new
+                    fresh[s] = fresh.get(s, 0) | new
+    return outside
 
 
 def _closed_state_sets(dfa: Dfa, columns, cap: int) -> list[int]:
@@ -1203,9 +1222,9 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
                 if len({q in dfa.finals for q in orbit[min(k, tail):]}) > 1:
                     return False
             return True
-        for t in monoid:  # t^k = t^(k+1)
+        for t in monoid:  # t^k = t^(k+1), which for k >= n is t^n = t^(n+1)
             power = tuple(range(dfa.n_states))
-            for _ in range(k):
+            for _ in range(min(k, dfa.n_states)):
                 power = tuple(t[q] for q in power)
             if power != tuple(t[q] for q in power):
                 return False

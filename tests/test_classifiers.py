@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,15 @@ class TestCertificates:
         assert cl.verify_certificate(h, family, v.certificate)
         with pytest.raises(cl.CertificateError):
             cl.verify_certificate(h, family, {"bound": bound})
+
+    def test_nc_bound_beyond_the_state_count(self):
+        # the maps are composed at most n times whatever the bound
+        start = time.perf_counter()
+        assert cl.verify_certificate(lang("(a|b)*b"), Family.NC,
+                                     {"bound": 10 ** 9})
+        assert not cl.verify_certificate(lang("(aa)*", "a"), Family.NC,
+                                         {"bound": 10 ** 9})
+        assert time.perf_counter() - start < 1
 
     def test_ps_bound_below_the_deciders_is_rejected(self):
         h = lang("a", "a")
@@ -397,36 +407,39 @@ class TestClassifyAll:
     def test_each_shared_fact_is_built_once(self, monkeypatch):
         # NC, PS and ORD read one monoid; FIN, NIL, SYDEF and 2COM one
         # cardinality; SYDEF and 2COM one family of closed state sets;
-        # STAR and RCOM one set of states whose residual holds L (L holds
-        # the empty word, so STAR reads it)
+        # SUF, STAR and RCOM one residual-inclusion relation (L holds the
+        # empty word, so STAR reads it)
         h = lang("1|c(ab)*c", "abc")
         calls = []
         for name in ("transition_monoid", "aperiodicity_bound",
-                     "cardinality_class", "_closed_state_sets"):
+                     "cardinality_class", "_closed_state_sets", "_outside"):
             def counting(first, *args, name=name, fn=getattr(cl, name),
                          **kwargs):
                 calls.append((name, first is h.dfa))
                 return fn(first, *args, **kwargs)
             monkeypatch.setattr(cl, name, counting)
-        residuals = []  # (residual DFA, its state)
-        tested = []  # the states whose residual was tested against L
-
-        def residual(dfa, q, fn=cl.residual):
-            residuals.append((fn(dfa, q), q))
-            return residuals[-1][0]
-
-        def subset(a, b, fn=cl.subset):
-            if a is h.dfa:
-                tested.extend(q for r, q in residuals if r is b)
-            return fn(a, b)
-        monkeypatch.setattr(cl, "residual", residual)
-        monkeypatch.setattr(cl, "subset", subset)
         cl.classify_all(h)
         assert calls.count(("transition_monoid", True)) == 1
         assert [n for n, _ in calls].count("aperiodicity_bound") == 1
         assert calls.count(("cardinality_class", True)) == 1
         assert calls.count(("_closed_state_sets", True)) == 1
-        assert sorted(tested) == list(range(h.dfa.n_states))
+        assert calls.count(("_outside", True)) == 1
+
+    def test_suf_on_the_cerny_automaton(self):
+        # C_20: a rotates 20 states, b sends 0 to 1, and 0 is final.  From
+        # all states a subset construction reaches 2^20 - 1 sets
+        n = 20
+        rows = tuple(((q + 1) % n, 1 if q == 0 else q) for q in range(n))
+        dfa = Dfa(("a", "b"), rows, 0, frozenset({0}))
+        h = LanguageHandle(("a", "b"), au.dfa_to_regex(dfa))
+        assert h.dfa.n_states == n
+        start = time.perf_counter()
+        assert cl.classify(h, Family.SUF).outcome is Outcome.NO
+        assert time.perf_counter() - start < 0.1
+        for family in (Family.STAR, Family.RCOM):
+            v = cl.classify(h, family)
+            assert v.outcome is Outcome.YES
+            assert cl.verify_certificate(h, family, v.certificate)
 
     def test_a_capped_monoid_build_is_kept(self, monkeypatch):
         # NC, PS and ORD read one monoid build, even one that hit the cap

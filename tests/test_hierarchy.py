@@ -3,8 +3,9 @@ import dataclasses
 import pytest
 
 from subreg import classify as cl, grammar as gr, hierarchy as hi, regex as rx
-from subreg.classify import DEFAULT_CONFIG
+from subreg.classify import DEFAULT_CONFIG, Family
 from subreg.hierarchy import FIG1, FIG2, Relation
+from subreg.language import LanguageHandle
 
 
 class TestGraphQueries:
@@ -141,3 +142,15 @@ class TestRandomCorpus:
         assert report["corpus_size"] == 60
         for item in report["properness"]:
             assert item["status"], item
+
+    def test_a_broken_edge_is_reported(self, monkeypatch):
+        # (a|b)* is in MON; a STAR decider that answers no breaks MON -> STAR
+        monkeypatch.setitem(cl._DECIDERS, Family.STAR,
+                            lambda an: cl._no(Family.STAR))
+        corpus = [LanguageHandle.from_text(t, ("a", "b"))
+                  for t in ("(a|b)*", "ab")]
+        report = hi.edge_consistency_check(corpus)
+        assert report["n_violations"] == 1
+        assert report["violations"] == [{
+            "language": "(a|b)*",
+            "reason": "MON = yes but STAR = no for (a|b)*"}]
