@@ -5,10 +5,10 @@ one state per letter occurrence plus a start state.  An NFA keeps its
 moves as one list of int bitmasks per letter: bit t of
 ``moves[i][p]`` is set when p reads ``alphabet[i]`` into t, so the
 successors of a whole state set are one OR of masks.  No automaton here
-has empty moves.  The one rational operation on NFAs is concatenation
-(``concat_nfa``), which copies initial moves instead.  No automaton is
-reversed: the deciders that read a word backwards take letter
-preimages of state sets of the minimal DFA.
+has empty moves, and no rational operation (union, concatenation,
+star) is built on automata: the deciders read the minimal DFA's states
+instead.  No automaton is reversed: the deciders that read a word
+backwards take letter preimages of state sets of the minimal DFA.
 ``determinize`` is the one subset construction, over int subsets;
 ``reachable`` is the one forward reachability helper and
 ``distance_to_final`` the one backward one.
@@ -372,43 +372,12 @@ def cardinality_class(dfa: Dfa) -> CardinalityClass:
 
 
 # ---------------------------------------------------------------------------
-# Boolean and rational operations
+# Boolean operations
 
 
 def complement(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet, dfa.transitions, dfa.start,
                frozenset(range(dfa.n_states)) - dfa.finals)
-
-
-def _shifted(a: Nfa | Dfa, by: int) -> Nfa:
-    """A fresh NFA copy of `a` with every state number raised by `by`;
-    states below `by` are left free for the caller."""
-    a = to_nfa(a) if isinstance(a, Dfa) else a
-    pad = [0] * by
-    return Nfa(a.n_states + by, a.alphabet,
-               [pad + [m << by for m in column] for column in a.moves],
-               frozenset(s + by for s in a.initials),
-               frozenset(s + by for s in a.finals))
-
-
-def concat_nfa(a: Nfa | Dfa, b: Nfa | Dfa) -> Nfa:
-    """NFA for L(a) L(b) on disjoint copies of a and b.  Every final state
-    of a also gets the moves of b's initial states, so a word may go on in
-    b without an empty move."""
-    a = _shifted(a, 0)
-    b = _shifted(b, a.n_states)
-    _check_same_alphabet(a, b)
-    moves = []
-    for ca, cb in zip(a.moves, b.moves):
-        first = 0
-        for i in b.initials:
-            first |= cb[i]
-        column = ca + cb[a.n_states:]
-        for s in a.finals:
-            column[s] |= first
-        moves.append(column)
-    return Nfa(b.n_states, a.alphabet, moves, a.initials,
-               b.finals | (a.finals if b.initials & b.finals else frozenset()))
 
 
 # ---------------------------------------------------------------------------

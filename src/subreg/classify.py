@@ -25,7 +25,6 @@ from .automata import (
     cardinality_class,
     compile_regex,
     complement,
-    concat_nfa,
     determinize,
     dfa_to_regex,
     enumerate_words,
@@ -108,8 +107,8 @@ class ClassifierConfig:
 DEFAULT_CONFIG = ClassifierConfig()
 ORD_STATE_CAP = 10          # no order search on larger minimal DFAs
 ORD_SPLIT_EXTRA = 2         # most extra states in a split automaton
-# most closed state sets, images of one set, and states of each subset
-# construction in the SYDEF and 2COM search
+# most closed state sets, images of one set, pairs of each cover walk and
+# states of K's subset construction in the SYDEF and 2COM search
 COMET_STATE_CAP = 4096
 DEF_WORD_CAP = 1 << 16      # most words a DEF certificate lists
 _SUBSET_CAP = 10 ** 6       # most state sets the RCOM and LCOM searches reach
@@ -219,16 +218,13 @@ class _Analysis:
         return _outside(self.dfa)
 
     @_fact
-    def comet_sets(self):
-        """(closed, rejects) for `_comet_set` (SYDEF and 2COM): the closed
-        state sets free of states with an empty residual, which no P
-        covering a non-empty L holds (for an empty L the empty set comes
-        first and covers), and the NFA of what each state rejects."""
-        dfa = self.dfa
-        useful = sum(1 << q for q in automata.useful_states(dfa))
-        closed = _closed_state_sets(dfa, self.columns, COMET_STATE_CAP)
-        return ([p for p in closed if not p & ~useful],
-                to_nfa(complement(dfa)))
+    def comet_sets(self) -> list[int]:
+        """The closed state sets for `_comet_set` (SYDEF and 2COM) that hold
+        no state with an empty residual, which no P covering a non-empty L
+        holds (for an empty L the empty set comes first and covers)."""
+        useful = sum(1 << q for q in automata.useful_states(self.dfa))
+        closed = _closed_state_sets(self.dfa, self.columns, COMET_STATE_CAP)
+        return [p for p in closed if not p & ~useful]
 
 
 # ---------------------------------------------------------------------------
@@ -261,36 +257,24 @@ def _classify_comb(an):
 
 
 def _def_window(dfa: Dfa):
-    """Minimal k such that acceptance of length-k continuations agrees on
-    every state pair, or None if no such k exists.  Some word tells apart
-    each pair p < q of a minimal DFA, so k is the number of pairs on the
-    longest walk by letters that keep pairs apart; one Kahn pass finds it
-    or a cycle."""
-    n, rows = dfa.n_states, dfa.transitions
-
-    def apart(p, q):  # the pairs, as ints p * n + q, one letter keeps apart
-        for tp, tq in zip(rows[p], rows[q]):
-            if tp != tq:
-                yield tp * n + tq if tp < tq else tq * n + tp
-
-    indegree = [0] * (n * n)
-    for p in range(n):
-        for q in range(p + 1, n):
-            for t in apart(p, q):
-                indegree[t] += 1
-    layer = [p * n + q for p in range(n) for q in range(p + 1, n)
-             if indegree[p * n + q] == 0]
-    k = 0
-    while layer:
-        k += 1
-        nxt = []
-        for pair in layer:
-            for t in apart(*divmod(pair, n)):
-                indegree[t] -= 1
-                if indegree[t] == 0:
-                    nxt.append(t)
-        layer = nxt
-    return None if any(indegree) else k  # a pair left over is on a cycle
+    """The least k such that every word of length k takes all states to
+    one state, or None if there is none; for a minimal DFA, L is
+    k-definite exactly from that k on (Perles, Rabin & Shamir 1963).
+    Round j merges the states that every word of length j takes to one
+    state: p and q merge when each letter takes them into one class of the
+    round before, as in `minimize`.  A round that merges nothing is a
+    fixpoint."""
+    columns = list(zip(*dfa.transitions))
+    label = list(range(dfa.n_states))
+    count, k = dfa.n_states, 0
+    while count > 1:
+        sigs = {}
+        label = [sigs.setdefault(sig, len(sigs)) for sig in
+                 zip(*[list(map(label.__getitem__, c)) for c in columns])]
+        if len(sigs) == count:
+            return None
+        count, k = len(sigs), k + 1
+    return k
 
 
 def _classify_def(an):
@@ -867,21 +851,37 @@ def _stable_word(an: _Analysis, move, states: int, accept, cap: int):
     return None
 
 
-def _through(dfa: Dfa, states: int) -> bool:
-    """Whether every accepted run visits the state set `states`, which
-    L <= E_P K_P requires."""
-    if states >> dfa.start & 1:
-        return True
-    seen = {dfa.start}
-    stack = [dfa.start]
+def _covers(dfa: Dfa, columns, p: int, cap: int) -> bool:
+    """Whether L <= E_P K_P for the state set P: every accepted word
+    splits as u v with delta(u) in P and P.v inside F.  A depth-first walk
+    over the pairs (q, S), q the state a word reaches and S the images of
+    P under the suffixes read since each visit to P, refutes at a final q
+    whose every image meets Q - F.  More than `cap` pairs raise
+    ResourceCapExceeded."""
+    rejects = (1 << dfa.n_states) - 1 - sum(1 << q for q in dfa.finals)
+    images = {}  # (image, letter) -> its image under the letter
+    start = (dfa.start, frozenset([p] if p >> dfa.start & 1 else []))
+    seen = {start}
+    stack = [start]
     while stack:
-        s = stack.pop()
-        if s in dfa.finals:
+        q, s = stack.pop()
+        if q in dfa.finals and all(t & rejects for t in s):
             return False
-        for t in dfa.transitions[s]:
-            if t not in seen and not states >> t & 1:
-                seen.add(t)
-                stack.append(t)
+        for a, column in enumerate(columns):
+            moved = set()
+            for t in s:
+                if (t, a) not in images:
+                    images[t, a] = _image(t, column)
+                moved.add(images[t, a])
+            r = column[q]
+            if p >> r & 1:
+                moved.add(p)
+            pair = (r, frozenset(moved))
+            if pair not in seen:
+                if len(seen) >= cap:
+                    raise ResourceCapExceeded
+                seen.add(pair)
+                stack.append(pair)
     return True
 
 
@@ -890,23 +890,22 @@ def _comet_set(an: _Analysis, every_letter: bool):
     L, with K the DFA of K_P; None when no closed set is both.
 
     With E_P = {u : delta(u) in P}, always E_P K_P <= L; P covers L when
-    L <= E_P K_P.  If P.g <= P for a non-empty word g, then g K_P <= K_P,
-    so a covering P gives L = E_P g* K_P.  Conversely, if L = E G* H and g
-    is a non-empty word of G, the g-orbit P of the states E reaches is
-    stable and covers, because G* H <= K_P; its closure keeps both
-    properties.  For 2COM, g is the shortest non-empty word, length-lex
-    first, that `_stable_word` finds from P by images, accepting the sets
-    inside P; SYDEF (G = V*) is the case with P stable under every letter
-    (g is None).  The closed sets, the images of P and each subset
-    construction are bounded by `COMET_STATE_CAP`.
+    L <= E_P K_P (`_covers`).  If P.g <= P for a non-empty word g, then
+    g K_P <= K_P, so a covering P gives L = E_P g* K_P.  Conversely, if
+    L = E G* H and g is a non-empty word of G, the g-orbit P of the states
+    E reaches is stable and covers, because G* H <= K_P; its closure keeps
+    both properties.  For 2COM, g is the shortest non-empty word,
+    length-lex first, that `_stable_word` finds from P by images,
+    accepting the sets inside P; SYDEF (G = V*) is the case with P stable
+    under every letter (g is None).  Stability is tested first, as the
+    cheaper test, and K's DFA is built only for the P returned.  The
+    closed sets, the images of P, the pairs of each cover walk and K's
+    subset construction are bounded by `COMET_STATE_CAP`.
     """
     dfa, cap = an.dfa, COMET_STATE_CAP
     try:
-        closed, rejects = an.comet_sets
         columns = an.columns
-        for p in closed:
-            if not _through(dfa, p):
-                continue
+        for p in an.comet_sets:
             if every_letter:
                 g = None
                 if any(_image(p, column) & ~p for column in columns):
@@ -915,13 +914,12 @@ def _comet_set(an: _Analysis, every_letter: bool):
                 g = _stable_word(an, _image, p, lambda s: not s & ~p, cap)
                 if g is None:
                     continue
-            members = frozenset(q for q in range(dfa.n_states) if p >> q & 1)
-            # K_P, the complement of what some state of P rejects
-            k_dfa = complement(determinize(replace(rejects, initials=members),
-                                           cap))
-            e_dfa = Dfa(dfa.alphabet, dfa.transitions, dfa.start, members)
-            if subset(dfa, determinize(concat_nfa(e_dfa, k_dfa), cap)):
-                return members, g, k_dfa
+            if _covers(dfa, columns, p, cap):
+                members = frozenset(q for q in range(dfa.n_states)
+                                    if p >> q & 1)
+                # K_P, the complement of what some state of P rejects
+                rejects = replace(to_nfa(complement(dfa)), initials=members)
+                return members, g, complement(determinize(rejects, cap))
     except ResourceCapExceeded:
         raise ResourceCapExceeded(f"comet state cap {cap} exceeded") from None
     return None

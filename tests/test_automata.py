@@ -69,10 +69,6 @@ class TestBooleanOperations:
 
 
 class TestTransforms:
-    def test_concat_and_star(self):
-        cat = au.minimize(au.determinize(au.concat_nfa(dfa("a*"), dfa("b"))))
-        assert au.equivalent(cat, dfa("a*b"))
-
     def test_determinize_cap(self):
         nfa = au.compile_regex(rx.parse_regex("(a|b)*a(a|b)(a|b)", AB), AB)
         assert au.determinize(nfa).n_states == 9
@@ -247,17 +243,6 @@ def test_determinize_is_the_frozenset_subset_construction(drawn):
     assert d.finals == {i for i, subset in enumerate(order) if subset & finals}
 
 
-def operands(r):
-    """Automata for L(r) in the shapes the deciders pass to the rational
-    operations: a DFA, a position automaton, and an NFA with several
-    initial states."""
-    return st.sampled_from([
-        lambda: au.dfa_of(r, AB),
-        lambda: au.compile_regex(r, AB),
-        lambda: _from_lower_residuals(au.dfa_of(r, AB)),
-    ]).map(lambda build: build())
-
-
 def _from_lower_residuals(dfa):
     """An NFA for L(dfa) whose initial states are every state whose
     residual lies inside L, the start state among them."""
@@ -268,15 +253,11 @@ def _from_lower_residuals(dfa):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), regexes(depth=2), regexes(depth=2))
-def test_rational_operations_match_regexes(data, r, s):
-    a = data.draw(operands(r))
-    b = data.draw(operands(s))
-
-    def same(nfa, regex):
-        assert au.minimize(au.determinize(nfa)) == au.dfa_of(regex, AB), (
-            rx.render(r), rx.render(s))
-
-    same(au.concat_nfa(a, b), rx.Cat(r, s))
-    # chained, so that a concatenation is an operand again
-    same(au.concat_nfa(au.concat_nfa(a, b), a), rx.Cat(rx.Cat(r, s), r))
+@given(regexes(depth=2))
+def test_determinize_matches_regexes(r):
+    # a DFA's NFA, a position automaton, and an NFA with several initial
+    # states, as the one for the SYDEF and 2COM K_P is
+    dfa = au.dfa_of(r, AB)
+    for nfa in (au.to_nfa(dfa), au.compile_regex(r, AB),
+                _from_lower_residuals(dfa)):
+        assert au.minimize(au.determinize(nfa)) == dfa, rx.render(r)

@@ -586,6 +586,11 @@ class TestDefiniteOracle:
         h = LanguageHandle.from_text("a" * 600, ("a", "b"))
         v = cl.classify(h, Family.DEF)
         assert v.outcome is Outcome.YES and v.certificate["window"] == 601
+        # 1024 states, merged in 10 rounds
+        dfa = lang("(a|b)*a" + "(a|b)" * 9).dfa
+        start = time.perf_counter()
+        assert cl._def_window(dfa) == 10
+        assert time.perf_counter() - start < 0.2
 
     def test_b_lists_words_in_product_order(self):
         dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
@@ -723,6 +728,28 @@ class TestCometOracle:
                            for f in (Family.LCOM, Family.RCOM))
         assert [(s.count("y"), s.count("n")) for s in got.values()] == \
             [(58, 996), (1042, 12)]
+
+    def test_cover_against_splits(self):
+        # P covers L when every accepted word splits as u v with delta(u)
+        # in P and delta(p, v) final for every p in P; words of length <= 4
+        # tell every closed set of these DFAs apart
+        dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
+        sets = refuted = 0
+        for dfa in dfas:
+            run = _runner(dfa)
+            columns = list(zip(*dfa.transitions))
+            l = [w for w in au.all_words(dfa.alphabet, 4) if dfa.accepts(w)]
+            for p in cl._closed_state_sets(dfa, columns, cl.COMET_STATE_CAP):
+                members = [q for q in range(dfa.n_states) if p >> q & 1]
+                covers = all(any(
+                    run(dfa.start, w[:i]) in members and
+                    all(run(q, w[i:]) in dfa.finals for q in members)
+                    for i in range(len(w) + 1)) for w in l)
+                assert cl._covers(dfa, columns, p, cl.COMET_STATE_CAP) == \
+                    covers, (p, au.dfa_to_text(dfa))
+                sets += 1
+                refuted += not covers
+        assert (sets, refuted) == (6649, 4403)
 
     def test_rcom_and_lcom_words(self):
         # g.L <= L (RCOM) and L.g <= L (LCOM), checked on the words of L of
