@@ -284,33 +284,13 @@ def _classify_def(an):
         return _no(Family.DEF)
     cert = {"window": k}
     if len(dfa.alphabet) ** k <= DEF_WORD_CAP:
-        # the guard bounds the words listed here, so no length cap applies
-        cert["A"] = enumerate_words(dfa, k - 1, cap=k - 1) if k > 0 else []
-        cert["B"] = _definite_words(dfa, k)
+        # the guard bounds the words listed here, so no length cap applies.
+        # Every word w of length k takes all states to start.w, so Q.w is
+        # inside F exactly when w is in L: B is L's words of length k
+        words = enumerate_words(dfa, k, cap=k)
+        cert["A"] = [w for w in words if len(w) < k]
+        cert["B"] = [w for w in words if len(w) == k]
     return _yes(Family.DEF, cert)
-
-
-def _definite_words(dfa: Dfa, k: int) -> list[str]:
-    """The words w of length k with Q.w inside F, in `itertools.product`
-    order.  Words that share a prefix share its image: the images of Q
-    are found layer by layer, and the words are built back from the last
-    layer, the accepted suffixes of each image once."""
-    columns = list(zip(*dfa.transitions))
-    finals = sum(1 << q for q in dfa.finals)
-    layers = [{(1 << dfa.n_states) - 1: None}]
-    for _ in range(k):
-        layer = layers[-1]
-        for states in layer:
-            layer[states] = [_image(states, column) for column in columns]
-        layers.append(dict.fromkeys(t for succ in layer.values() for t in succ))
-    suffixes = {states: [""] if states & finals == states else []
-                for states in layers[-1]}
-    for layer in reversed(layers[:-1]):
-        suffixes = {states: [a + u for a, t in zip(dfa.alphabet, succ)
-                             for u in suffixes[t]]
-                    for states, succ in layer.items()}
-    (words,) = suffixes.values()
-    return words
 
 
 def _classify_suf(an):
@@ -338,10 +318,12 @@ class _PairParity:
     precedes q.  In a monotone order a letter that sends p and q to
     distinct states u and v orients {u, v} as it does {p, q}, in both
     directions, so it ties the two bits with a known parity; a component
-    whose parities disagree refutes every order.  A constant 0 node fixes
-    orientations.  Unions hang the smaller tree under the larger (the
-    second root on a tie) and log the hung root on `trail`; there is no
-    path compression, so `undo` restores any earlier state exactly.
+    whose parities disagree refutes every order.  A constant 0 node, the
+    anchor, fixes orientations; `fix` assumes that it comes before any tie
+    and that each pair is fixed once, so the pair is still its own root.
+    Unions hang the smaller tree under the larger (the second root on a
+    tie) and log the hung root on `trail`; there is no path compression,
+    so `undo` restores any earlier state exactly.
     """
 
     def __init__(self, n: int):
@@ -360,31 +342,21 @@ class _PairParity:
             x = self.parent[x]
         return x, par
 
-    def _union(self, x: int, y: int, par: int) -> bool:
-        root_x, par_x = self.find(x)
-        root_y, par_y = self.find(y)
-        if root_x == root_y:
-            return par_x ^ par_y == par
-        if self.size[root_x] > self.size[root_y]:
-            root_x, root_y = root_y, root_x
-        self.parent[root_x] = root_y
-        self.parity[root_x] = par_x ^ par_y ^ par
-        self.size[root_y] += self.size[root_x]
-        self.trail.append(root_x)
-        return True
-
     def fix(self, p: int, q: int) -> None:
-        """p precedes q, p < q; made before any tie, so it cannot
-        contradict."""
-        self._union(p * self.n + q, self.anchor, 1)
+        """p precedes q, p < q: the pair, still its own root, hangs under
+        the anchor with parity 1."""
+        x = p * self.n + q
+        self.parent[x], self.parity[x] = self.anchor, 1
+        self.size[self.anchor] += 1
+        self.trail.append(x)
 
     def tie_moves(self, rows, s: int, a: int) -> bool:
         """Tie {s, s2} to {t, t2} for every state s2, in order, whose move
         t2 on letter a is fixed (not -1) and differs from s's move t;
         False at the first contradiction.
 
-        This is `_union` inlined into one loop, since the split search
-        spends most of its time here: the same unions in the same order.
+        The union-find is inlined into one loop, since the split search
+        spends most of its time here.
         """
         n = self.n
         parent, parity, size, trail = (self.parent, self.parity, self.size,
@@ -1198,16 +1170,12 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
             order = cert["order"]
             if sorted(order) != list(range(machine.n_states)):
                 raise CertificateError("order must list every state once")
+            # <= is transitive, so consecutive states suffice
             pos = {s: i for i, s in enumerate(order)}
-            for i in range(len(V)):
-                for p in range(machine.n_states):
-                    for q in range(machine.n_states):
-                        if pos[p] <= pos[q]:
-                            tp = machine.transitions[p][i]
-                            tq = machine.transitions[q][i]
-                            if pos[tp] > pos[tq]:
-                                return False
-            return True
+            rows = machine.transitions
+            return all(pos[rows[p][i]] <= pos[rows[q][i]]
+                       for p, q in zip(order, order[1:])
+                       for i in range(len(V)))
         if family not in (Family.NC, Family.SF, Family.PS):
             raise CertificateError(f"family {family} carries no certificate")
         k = cert["bound"]  # the deciders give k >= 1

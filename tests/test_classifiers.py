@@ -592,17 +592,79 @@ class TestDefiniteOracle:
         assert cl._def_window(dfa) == 10
         assert time.perf_counter() - start < 0.2
 
-    def test_b_lists_words_in_product_order(self):
+    def test_certificate_of_a_long_word(self):
+        h = LanguageHandle.from_text("a" * 600, ("a",))
+        cert = cl.classify(h, Family.DEF).certificate
+        assert (cert["window"], cert["A"], cert["B"]) == (601, ["a" * 600], [])
+        h = lang("(a|b)*a" + "(a|b)" * 9)
+        assert h.dfa.n_states == 1024
+        start = time.perf_counter()
+        cert = cl.classify(h, Family.DEF).certificate
+        assert time.perf_counter() - start < 0.1
+        assert (cert["A"], len(cert["B"])) == ([], 512)
+
+    def test_a_and_b_against_the_definition(self):
         dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
         for dfa in dfas:
-            k = cl._def_window(dfa)
-            if k is None:
+            h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
+            cert = cl.classify(h, Family.DEF).certificate
+            if cert is None:
                 continue
+            k = cert["window"]
+            shorter = ["".join(w) for n in range(k)
+                       for w in itertools.product(dfa.alphabet, repeat=n)
+                       if dfa.accepts("".join(w))]
+            # B: the words w of length k with Q.w inside F
             want = ["".join(w) for w in itertools.product(dfa.alphabet,
                                                           repeat=k)
                     if all(dataclasses.replace(dfa, start=q).accepts(w)
                            for q in range(dfa.n_states))]
-            assert cl._definite_words(dfa, k) == want, au.dfa_to_text(dfa)
+            assert (cert["A"], cert["B"]) == (shorter, want), \
+                au.dfa_to_text(dfa)
+
+
+# ---------------------------------------------------------------------------
+# FIN, NIL and COMB against their definitions
+
+
+def _word_families_by_words(dfa: Dfa, most: int = 5) -> dict:
+    """FIN, NIL and COMB by membership on every word of length <= `most`.
+    An infinite L has a word with length in [n, 2n), and DFAs of n and m
+    states that agree below n + m accept the same language, so 5 is exact
+    for n <= 3 (V* X has at most 2 states)."""
+    words = list(au.all_words(dfa.alphabet, most))
+    n = dfa.n_states
+
+    def finite(accepts):
+        return all(len(w) < n for w in words if accepts(w))
+
+    return {
+        Family.FIN: finite(dfa.accepts),
+        Family.NIL: finite(dfa.accepts)
+        or finite(lambda w: not dfa.accepts(w)),
+        # X is the letters in L
+        Family.COMB: all(dfa.accepts(w) == (w != "" and dfa.accepts(w[-1]))
+                         for w in words),
+    }
+
+
+class TestWordOracle:
+    def test_every_minimal_dfa_up_to_three_states(self):
+        dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
+        yes = dict.fromkeys(map(Family, ("FIN", "NIL", "COMB")), 0)
+        for dfa in dfas:
+            h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
+            for family, holds in _word_families_by_words(dfa).items():
+                v = cl.classify(h, family)
+                assert (v.outcome is Outcome.YES) == holds, \
+                    (family, au.dfa_to_text(dfa))
+                if holds:
+                    yes[family] += 1
+                    if family is Family.COMB:
+                        assert cl.verify_certificate(h, family, v.certificate)
+        assert len(dfas) == 1054
+        assert {f.value: n for f, n in yes.items()} == {
+            "FIN": 8, "NIL": 16, "COMB": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +898,28 @@ class TestOrderedOracle:
         outcomes = [_check_ord_against_oracle(d) for d in dfas]
         assert outcomes.count(Outcome.NO) == 880
         assert outcomes.count(Outcome.YES) == 174
+
+    def test_order_check_against_the_definition(self):
+        # every permutation of each yes order, checked pair by pair
+        dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
+        checked = accepted = 0
+        for dfa in dfas:
+            h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
+            cert = cl.classify(h, Family.ORD).certificate
+            if cert is None:
+                continue
+            rows = (au.dfa_from_text(cert["automaton"]).transitions
+                    if "automaton" in cert else dfa.transitions)
+            for order in itertools.permutations(cert["order"]):
+                pos = {s: i for i, s in enumerate(order)}
+                monotone = all(pos[rows[p][i]] <= pos[rows[q][i]]
+                               for p, q in itertools.combinations(order, 2)
+                               for i in range(len(dfa.alphabet)))
+                assert cl.verify_certificate(
+                    h, Family.ORD, dict(cert, order=list(order))) == monotone
+                checked += 1
+                accepted += monotone
+        assert (checked, accepted) == (1426, 362)
 
     def test_sampled_four_and_five_state_dfas(self):
         rng = random.Random(20240811)
