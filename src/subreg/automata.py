@@ -68,22 +68,15 @@ class Nfa:
 
     States are dense integers 0..n_states-1; several states may be
     initial.  ``moves[i][p]`` is the bitmask of the states that p reaches
-    on ``alphabet[i]`` (all zero unless given).  The empty word is
-    accepted exactly when an initial state is final.
+    on ``alphabet[i]``, one list of n_states masks per letter.  The empty
+    word is accepted exactly when an initial state is final.
     """
 
     n_states: int
     alphabet: tuple[str, ...]
-    moves: list[list[int]] | None = None
-    initials: frozenset[int] = frozenset()
-    finals: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.moves is None:
-            self.moves = [[0] * self.n_states for _ in self.alphabet]
-
-    def add(self, src: int, letter: str, dst: int) -> None:
-        self.moves[self.alphabet.index(letter)][src] |= 1 << dst
+    moves: list[list[int]]
+    initials: frozenset[int]
+    finals: frozenset[int]
 
 
 def compile_regex(r: Regex, alphabet: tuple[str, ...]) -> Nfa:
@@ -200,16 +193,10 @@ def determinize(nfa: Nfa, cap: int = 10 ** 6) -> Dfa:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Moore partition refinement of the reachable part plus canonical
-    BFS renumbering."""
-    reach = reachable(dfa)
+    """Moore partition refinement plus canonical BFS renumbering.  Moore
+    blocks are Nerode classes, so unreachable states cannot regroup the
+    reachable ones, and the BFS numbers only the reachable blocks."""
     trans, finals, start = dfa.transitions, dfa.finals, dfa.start
-    if len(reach) < dfa.n_states:
-        states = sorted(reach)
-        remap = {s: i for i, s in enumerate(states)}
-        trans = [tuple(remap[t] for t in trans[s]) for s in states]
-        finals = frozenset(remap[s] for s in reach & finals)
-        start = remap[start]
     n = len(trans)
     columns = list(zip(*trans))
 
@@ -382,15 +369,6 @@ def complement(dfa: Dfa) -> Dfa:
 
 # ---------------------------------------------------------------------------
 # Enumeration and quotients
-
-
-def all_words(alphabet: tuple[str, ...], n: int):
-    """All words of length <= n in length-then-lexicographic order."""
-    layer = [""]
-    yield ""
-    for _ in range(n):
-        layer = [w + a for w in layer for a in alphabet]
-        yield from layer
 
 
 def enumerate_words(dfa: Dfa, n: int, cap: int = 32) -> list[str]:

@@ -299,15 +299,12 @@ def _classify_suf(an):
     return _holds(Family.SUF, not any(m >> start & 1 for m in an.outside))
 
 
-class _SearchCapHit(Exception):
-    pass
-
-
 def _tick(budget) -> None:
-    """Spend one node of the shared search budget (a single-element list)."""
+    """Spend one node of the shared search budget (a single-element list);
+    an overdrawn budget is a cap like any other: ORD answers Unknown."""
     budget[0] -= 1
     if budget[0] < 0:
-        raise _SearchCapHit
+        raise ResourceCapExceeded("order search budget exceeded")
 
 
 class _PairParity:
@@ -583,11 +580,7 @@ def _classify_ord(an):
         return _no(Family.ORD, "transition monoid is not aperiodic")
     if dfa.n_states > ORD_STATE_CAP:
         return _unknown(Family.ORD, f"state cap {ORD_STATE_CAP} exceeded")
-    budget = [an.config.ord_search_budget]
-    try:
-        found = _split_order(dfa, ORD_SPLIT_EXTRA, budget)
-    except _SearchCapHit:
-        return _unknown(Family.ORD, "order search budget exceeded")
+    found = _split_order(dfa, ORD_SPLIT_EXTRA, [an.config.ord_search_budget])
     if found is None:
         # no bound on the extra states an ordered automaton may need is
         # known, so an empty bounded search decides nothing
@@ -660,10 +653,6 @@ def aperiodicity_bound(monoid) -> int | None:
                 steps[p] = d
         bound = max(bound, max(steps))
     return bound
-
-
-def is_aperiodic(dfa: Dfa) -> bool:
-    return aperiodicity_bound(transition_monoid(dfa)) is not None
 
 
 def _classify_nc(an):
@@ -768,6 +757,29 @@ def _outside(dfa: Dfa) -> list[int]:
     return outside
 
 
+def _walk(alphabet, columns, move, states: int, cap: int):
+    """Breadth-first walk over the state sets that letter moves (`_image`
+    or `_preimage` under one letter's column) reach from `states`: yields
+    (u, a, S) for every move, S being where u then a takes `states`, in
+    length-lex order of u a, and moves on from each set once.  More than
+    `cap` sets raise ResourceCapExceeded."""
+    seen = {states}
+    frontier = [("", states)]
+    while frontier:
+        nxt = []
+        for u, s in frontier:
+            for a, column in zip(alphabet, columns):
+                t = move(s, column)
+                yield u, a, t
+                if t not in seen:
+                    if len(seen) >= cap:
+                        raise ResourceCapExceeded(
+                            f"subset construction exceeds cap {cap}")
+                    seen.add(t)
+                    nxt.append((u + a, t))
+        frontier = nxt
+
+
 def _closed_state_sets(dfa: Dfa, columns, cap: int) -> list[int]:
     """The closed state sets of a minimal DFA as bitmasks, ascending.
 
@@ -776,21 +788,12 @@ def _closed_state_sets(dfa: Dfa, columns, cap: int) -> list[int]:
     are the intersections of the sets S_w = {q : w in L_q} (Q for none),
     the Galois closure behind Ganter's NextClosure.  S_w is {q : t(q) in F}
     for the transition-monoid element t of w, and S_aw is the preimage of
-    S_w under a, so the sets S_w are found from F by preimages alone.
+    S_w under a, so the sets S_w are F and those `_walk` reaches from it.
     """
-    n = dfa.n_states
     finals = sum(1 << q for q in dfa.finals)
-    family = {finals}
-    queue = [finals]
-    for s in queue:  # grows while it is read
-        for column in columns:
-            pre = _preimage(s, column)
-            if pre not in family:
-                if len(family) >= cap:
-                    raise ResourceCapExceeded
-                family.add(pre)
-                queue.append(pre)
-    closed = {(1 << n) - 1}
+    family = {finals, *(s for _, _, s in _walk(dfa.alphabet, columns,
+                                               _preimage, finals, cap))}
+    closed = {(1 << dfa.n_states) - 1}
     for s in family:
         closed |= {c & s for c in closed}
         if len(closed) > cap:
@@ -801,25 +804,10 @@ def _closed_state_sets(dfa: Dfa, columns, cap: int) -> list[int]:
 def _stable_word(an: _Analysis, move, states: int, accept, cap: int):
     """Shortest non-empty word w, length-lex first, whose `move` (`_image`
     or `_preimage` under one letter) takes the state set `states` to a set
-    that `accept` holds for, or None: a subset construction on the fly,
-    breadth-first; more than `cap` sets raise ResourceCapExceeded."""
-    alphabet, columns = an.dfa.alphabet, an.columns
-    seen = {states}
-    frontier = [("", states)]
-    while frontier:
-        nxt = []
-        for word, s in frontier:
-            for a, column in zip(alphabet, columns):
-                t = move(s, column)
-                if accept(t):
-                    return word + a
-                if t not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceCapExceeded(
-                            f"subset construction exceeds cap {cap}")
-                    seen.add(t)
-                    nxt.append((word + a, t))
-        frontier = nxt
+    that `accept` holds for, or None: the first such move of `_walk`."""
+    for u, a, s in _walk(an.dfa.alphabet, an.columns, move, states, cap):
+        if accept(s):
+            return u + a
     return None
 
 
@@ -1092,11 +1080,8 @@ def _comet_parts(l: LanguageHandle, family: Family, cert: dict):
             raise CertificateError("X must contain alphabet letters")
         return rx.EMPTY, one, sigma, rx.finite_language_regex(x)
     if family is Family.DEF:
-        if "A" not in cert and "B" not in cert:
-            return None  # the window alone, checked by `_is_definite`
-        a_part, b_part = cert["A"], cert["B"]
-        return (rx.finite_language_regex(a_part), one, sigma,
-                rx.finite_language_regex(b_part))
+        return (rx.finite_language_regex(cert["A"]), one, sigma,
+                rx.finite_language_regex(cert["B"]))
     if family is Family.SYDEF:
         return rx.EMPTY, lang("E"), sigma, lang("H")
     if family is Family.STAR:
@@ -1126,7 +1111,8 @@ def _is_definite(dfa: Dfa, k: int, cap: int) -> bool:
         layer = {_image(states, column) for states in layer
                  for column in columns}
         if len(layer) > cap:
-            raise ResourceCapExceeded(f"transition monoid exceeds cap {cap}")
+            raise ResourceCapExceeded(
+                f"image sets of the window check exceed cap {cap}")
     return all(not states & finals or not states & ~finals
                for states in layer)
 
@@ -1140,6 +1126,16 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
     V = l.alphabet
     dfa = l.dfa
     try:
+        if family is Family.DEF:
+            k = cert["window"]
+            if not isinstance(k, int) or k < 0:
+                raise CertificateError("window must be a natural number")
+            if "A" not in cert and "B" not in cert:
+                return _is_definite(dfa, k, config.monoid_cap)
+            # A is L's words shorter than k and B its words of length k
+            if (any(len(w) >= k for w in cert["A"])
+                    or any(len(w) != k for w in cert["B"])):
+                return False
         parts = _comet_parts(l, family, cert)
         if parts is not None:
             a, e, g, h = parts
@@ -1152,11 +1148,6 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
                 return False
             expr = rx.union(a, rx.cat(e, rx.cat(rx.star(g), h)))
             return equivalent(determinize(compile_regex(expr, V)), dfa)
-        if family is Family.DEF:
-            k = cert["window"]
-            if not isinstance(k, int) or k < 0:
-                raise CertificateError("window must be a natural number")
-            return _is_definite(dfa, k, config.monoid_cap)
         if family is Family.ORD:
             if "automaton" in cert:
                 try:

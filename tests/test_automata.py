@@ -130,10 +130,6 @@ class TestCardinalityAndEnumeration:
         with pytest.raises(au.ResourceCapExceeded):
             au.enumerate_words(dfa("(a|b)*"), 33)
 
-    def test_all_words_generator(self):
-        assert list(au.all_words(AB, 2)) == ["", "a", "b",
-                                             "aa", "ab", "ba", "bb"]
-
 
 class TestTransitionMonoid:
     def test_monoid_of_two_cycle(self):
@@ -219,9 +215,10 @@ def nfas(draw):
                           max_size=14))
     initials = draw(st.frozensets(state, max_size=3))
     finals = draw(st.frozensets(state))
-    nfa = au.Nfa(n, ("a", "b", "c"), initials=initials, finals=finals)
+    masks = [[0] * n for _ in "abc"]
     for src, letter, dst in moves:
-        nfa.add(src, letter, dst)
+        masks["ab".index(letter)][src] |= 1 << dst
+    nfa = au.Nfa(n, ("a", "b", "c"), masks, initials, finals)
     return nfa, moves, initials, finals
 
 

@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_automata import all_words
 
 from subreg import automata as au, classify as cl
 from subreg.automata import Dfa
@@ -17,6 +18,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def lang(text, alphabet="ab"):
     return LanguageHandle.from_text(text, tuple(alphabet))
+
+
+def aperiodic(dfa):
+    return cl.aperiodicity_bound(au.transition_monoid(dfa)) is not None
 
 
 def outcome(text, family, alphabet="ab", config=DEFAULT_CONFIG):
@@ -111,6 +116,56 @@ class TestCertificates:
                                          {"window": 5})
         with pytest.raises(cl.CertificateError):
             cl.verify_certificate(h, Family.DEF, {"window": -1})
+
+    @pytest.mark.parametrize("cert,holds", [
+        ({"window": 1, "A": [], "B": ["b"]}, True),
+        ({"window": 0, "A": [], "B": ["b"]}, False),
+        ({"window": 7, "A": [], "B": ["b"]}, False),
+        ({"window": 1, "A": ["b"], "B": ["b"]}, False),
+    ], ids=["window_1", "window_0", "window_7", "a_word_at_the_window"])
+    def test_def_words_must_fit_the_window(self, cert, holds):
+        # A is L's words shorter than the window, B its words of that length
+        assert cl.verify_certificate(lang("(a|b)*b"), Family.DEF,
+                                     cert) is holds
+
+    @pytest.mark.parametrize("cert,message", [
+        ({"window": -1, "A": [], "B": ["b"]}, "window must be a natural"),
+        ({"A": [], "B": ["b"]}, "missing certificate field 'window'"),
+    ], ids=["negative_window", "no_window"])
+    def test_def_window_is_required(self, cert, message):
+        with pytest.raises(cl.CertificateError, match=message):
+            cl.verify_certificate(lang("(a|b)*b"), Family.DEF, cert)
+
+    @pytest.mark.parametrize("family,cert", [
+        (Family.NC, {}),
+        (Family.DEF, {"window": 1, "A": []}),
+    ], ids=["NC", "DEF"])
+    def test_missing_field_raises(self, family, cert):
+        with pytest.raises(cl.CertificateError,
+                           match="missing certificate field"):
+            cl.verify_certificate(lang("(a|b)*b"), family, cert)
+
+    def test_family_without_certificate_raises(self):
+        with pytest.raises(cl.CertificateError,
+                           match="carries no certificate"):
+            cl.verify_certificate(lang("(a|b)*"), Family.MON, {})
+
+    def test_union_is_not_a_uf_certificate(self):
+        assert not cl.verify_certificate(lang("a|b"), Family.UF,
+                                         {"regex": "a|b"})
+
+    @pytest.mark.parametrize("other", [("a*b", "ab"), ("(ab)*", "abc")],
+                             ids=["language", "alphabet"])
+    def test_ord_automaton_of_another_language(self, other):
+        machine = lang(*other).dfa
+        cert = {"order": list(range(machine.n_states)),
+                "automaton": au.dfa_to_text(machine)}
+        assert not cl.verify_certificate(lang("(ab)*"), Family.ORD, cert)
+
+    def test_ord_order_that_is_not_a_permutation_raises(self):
+        with pytest.raises(cl.CertificateError, match="every state once"):
+            cl.verify_certificate(lang("(ab)*"), Family.ORD,
+                                  {"order": [0, 0, 1]})
 
     def test_sydef_certificate(self):
         h = lang("(a|b)*b")
@@ -307,16 +362,16 @@ class TestBoundedDeciders:
 
 class TestAperiodicity:
     def test_counting_language_is_not_aperiodic(self):
-        assert not cl.is_aperiodic(lang("(aa)*", "a").dfa)
+        assert not aperiodic(lang("(aa)*", "a").dfa)
 
     def test_aperiodic_language(self):
-        assert cl.is_aperiodic(lang("(a|b)*b").dfa)
+        assert aperiodic(lang("(a|b)*b").dfa)
 
     def test_brute_force_agreement_sample(self):
         # acceptance of x y^k z must equal x y^{k+1} z for aperiodic DFAs
         for text in ("(a|b)*b", "(aa)*", "a*b", "(ab)*"):
             d = lang(text).dfa
-            assert cl.is_aperiodic(d) == _brute_force_noncounting(d)
+            assert aperiodic(d) == _brute_force_noncounting(d)
 
 
 def _brute_force_noncounting(dfa: Dfa, word_len: int = 3) -> bool:
@@ -473,6 +528,13 @@ class TestCertificateCaps:
                                match="transition monoid exceeds cap 1"):
                 cl.verify_certificate(lang("(ab)*"), family, {"bound": 1}, cfg)
 
+    def test_window_check_cap_names_its_image_sets(self):
+        cfg = dataclasses.replace(DEFAULT_CONFIG, monoid_cap=1)
+        with pytest.raises(cl.CertificateError,
+                           match="image sets of the window check exceed cap 1"):
+            cl.verify_certificate(lang("(a|b)*b"), Family.DEF, {"window": 1},
+                                  cfg)
+
 
 # ---------------------------------------------------------------------------
 # ORD against a brute-force definition
@@ -529,7 +591,7 @@ def _random_aperiodic_minimal_dfas(rng, n_states, count):
                      for _ in range(n_states))
         finals = frozenset(s for s in range(n_states) if rng.random() < 0.5)
         dfa = au.minimize(Dfa(("a", "b"), rows, 0, finals))
-        if dfa.n_states == n_states and cl.is_aperiodic(dfa):
+        if dfa.n_states == n_states and aperiodic(dfa):
             out.add(dfa)
     return sorted(out, key=au.dfa_to_text)
 
@@ -556,7 +618,7 @@ def _definite_window_by_words(dfa: Dfa, most: int):
     """Smallest k <= most such that u x and v x agree on L for all words u,
     v of length < n (they reach every state) and every x of length k, by
     membership tests alone; None if there is none."""
-    heads = list(au.all_words(dfa.alphabet, dfa.n_states - 1))
+    heads = list(all_words(dfa.alphabet, dfa.n_states - 1))
     for k in range(most + 1):
         tails = list(itertools.product(dfa.alphabet, repeat=k))
         if all(len({dfa.accepts(u + "".join(x)) for u in heads}) == 1
@@ -632,7 +694,7 @@ def _word_families_by_words(dfa: Dfa, most: int = 5) -> dict:
     An infinite L has a word with length in [n, 2n), and DFAs of n and m
     states that agree below n + m accept the same language, so 5 is exact
     for n <= 3 (V* X has at most 2 states)."""
-    words = list(au.all_words(dfa.alphabet, most))
+    words = list(all_words(dfa.alphabet, most))
     n = dfa.n_states
 
     def finite(accepts):
@@ -800,7 +862,7 @@ class TestCometOracle:
         for dfa in dfas:
             run = _runner(dfa)
             columns = list(zip(*dfa.transitions))
-            l = [w for w in au.all_words(dfa.alphabet, 4) if dfa.accepts(w)]
+            l = [w for w in all_words(dfa.alphabet, 4) if dfa.accepts(w)]
             for p in cl._closed_state_sets(dfa, columns, cl.COMET_STATE_CAP):
                 members = [q for q in range(dfa.n_states) if p >> q & 1]
                 covers = all(any(
@@ -818,7 +880,7 @@ class TestCometOracle:
         # length <= 6; g is the first non-empty word of length <= 3 in
         # length-lex order, for LCOM in that order of its reversal
         dfas = set().union(*(_minimal_dfas(n) for n in (1, 2, 3)))
-        words = list(au.all_words(("a", "b"), 3))[1:]
+        words = list(all_words(("a", "b"), 3))[1:]
         orders = {
             Family.RCOM: (words, lambda g, u: g + u),
             Family.LCOM: (sorted(words, key=lambda g: (len(g), g[::-1])),
@@ -827,7 +889,7 @@ class TestCometOracle:
         yes = dict.fromkeys(orders, 0)
         for dfa in dfas:
             h = LanguageHandle(dfa.alphabet, au.dfa_to_regex(dfa), check=False)
-            l = [u for u in au.all_words(dfa.alphabet, 6) if dfa.accepts(u)]
+            l = [u for u in all_words(dfa.alphabet, 6) if dfa.accepts(u)]
             for family, (candidates, join) in orders.items():
                 g = next((g for g in candidates
                           if all(dfa.accepts(join(g, u)) for u in l)), None)
@@ -855,7 +917,7 @@ def _closures_by_words(dfa: Dfa, most: int = 6) -> dict:
     """Each closure family's definition, checked by membership on every
     word of length <= `most` (5 already agrees on every DFA of at most
     three states over {a,b})."""
-    words = list(au.all_words(dfa.alphabet, most))
+    words = list(all_words(dfa.alphabet, most))
     l = {w for w in words if dfa.accepts(w)}
     return {
         Family.MON: len(l) == len(words),

@@ -66,6 +66,10 @@ class TestClassify:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_empty_alphabet_is_input_error(self, capsys):
+        code, out, err = run(capsys, "classify", "a", "--alphabet=")
+        assert (code, out, err) == (2, "", "error: --alphabet is required\n")
+
     def test_monoid_cap_gives_unknown(self, capsys):
         code, out, _ = run(capsys, "classify", "(a|b)*b", "--alphabet", "ab",
                            "--cap-monoid", "2", "--format", "json")
@@ -127,6 +131,13 @@ class TestNf2com:
         assert code == 0
         data = json.loads(out)
         assert data["verified"] is True
+
+    @pytest.mark.parametrize("e", ["a(", "c"], ids=["bad_regex",
+                                                     "letter_outside"])
+    def test_bad_part_is_input_error(self, capsys, e):
+        code, out, err = run(capsys, "nf2com", e, "b", "b", "--alphabet", "ab")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_trivial_middle_is_domain_error(self, capsys):
         code, _, err = run(capsys, "nf2com", "a", "1", "b", "--alphabet", "ab")
@@ -211,6 +222,16 @@ class TestGrammar:
         code, out, err = run(capsys, "grammar", "enum", ex1_path, "-n", n)
         assert code == 2 and out == ""
         assert err == f"error: -n/--max-length must be at least 0, got {n}\n"
+
+    def test_enum_length_has_no_upper_cap(self, capsys, tmp_path):
+        # past the 32 that a language handle enumerates to
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(gr.fixtures()["nil_o_star"].to_json()))
+        code, out, _ = run(capsys, "grammar", "enum", str(path), "-n", "60",
+                           "--format", "json")
+        assert code == 0
+        assert set(json.loads(out)["words"]) == (
+            {""} | {"a" * k + "bbb" for k in range(1, 58)})  # aa*bbb|1
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, _ = run(capsys, "grammar", "validate", "/nonexistent.json")

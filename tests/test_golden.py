@@ -137,7 +137,7 @@ def ord_search_lines() -> list[str]:
         budget = [8000]
         try:
             found = cl._split_order(h.dfa, 2, budget)
-        except cl._SearchCapHit:
+        except cl.ResourceCapExceeded:
             found = None
         out.append(line({
             "regex": rx.render(h.regex),
