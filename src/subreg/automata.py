@@ -229,14 +229,15 @@ def minimize(dfa: Dfa) -> Dfa:
                 order.append(block[t])
             row.append(i)
         rows.append(_shared(tuple(row)))
-    return Dfa(dfa.alphabet, tuple(rows), 0, _shared(frozenset(
-        i for i, b in enumerate(order) if reps[b] in finals)))
+    return _shared(Dfa(dfa.alphabet, tuple(rows), 0, _shared(frozenset(
+        i for i, b in enumerate(order) if reps[b] in finals))))
 
 
-# Minimal DFAs share equal rows and final sets, as interned strings do: a
-# language handle keeps its DFA, and few distinct rows occur (624 over the
-# 5000 languages of `hierarchy.random_corpus(5000)`).  The table stops
-# growing at _SHARED_CAP entries.
+# Equal minimal DFAs are one object, as interned strings are, and so are
+# their equal rows and final sets: a language handle keeps its DFA, and
+# few distinct rows occur (624 over the 5000 languages of
+# `hierarchy.random_corpus(5000)`).  The table stops growing at
+# _SHARED_CAP entries.
 _SHARED: dict = {}
 _SHARED_CAP = 1 << 14
 

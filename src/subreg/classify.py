@@ -483,11 +483,23 @@ def _split_order(dfa: Dfa, extra_cap: int, budget):
     share their residual.  The splits are tried by number of extra states,
     starting with the minimal DFA itself, then by which residuals get the
     extra copies.
+
+    A split is skipped, and spends no budget, when some residual d has
+    more copies than the start and the moves into d can enter,
+    mult[d] > [d = start] + Σ_c mult[c]·|{a : δ(c, a) = d}|: a copy of d
+    is then unreachable, and without it the automaton is ordered on a
+    split with one extra state less, which was searched to the end before.
     """
     m = dfa.n_states
+    into = [[row.count(d) for row in dfa.transitions] for d in range(m)]
     for extra in range(extra_cap + 1):
         for dup in itertools.combinations_with_replacement(range(m), extra):
-            split = _Split(dfa, [1 + dup.count(c) for c in range(m)])
+            mult = [1 + dup.count(c) for c in range(m)]
+            if any(mult[d] > (d == dfa.start)
+                   + sum(k * i for k, i in zip(mult, into[d]))
+                   for d in set(dup)):
+                continue
+            split = _Split(dfa, mult)
             order = split.order(budget)
             if order is not None:
                 return order, split.rows, split.owner
@@ -506,7 +518,8 @@ class _Split:
     its moves are fixed, pruning on a contradiction.  Placing a move makes
     all of its ties in one `_PairParity.tie_moves` loop, in state order;
     `tests/golden/ord_search.jsonl` pins the search tree this gives
-    through the budget it leaves and the first order it finds.
+    through the budget it leaves and the first order it finds.  A split
+    that `_split_order` skips is never built, so it spends no budget.
     """
 
     def __init__(self, dfa: Dfa, mult):
@@ -972,11 +985,13 @@ _DECIDERS = {
 
 
 # Certificates that depend only on the minimal DFA are shared, as
-# `automata._shared` shares rows: few distinct ones occur (1410 over the
-# 5000 languages of `hierarchy.random_corpus(5000)`: 1033 ORD, 364 DEF,
-# 9 NC and PS, 4 COMB), and a caller that keeps its verdicts then keeps
-# one dict for each.  Certificates that quote L's regex text are not
-# shared.  The table stops growing at _SHARED_CAP entries.
+# `automata._shared` shares minimal DFAs and their rows: few distinct ones
+# occur (1410 over the 5000 languages of `hierarchy.random_corpus(5000)`:
+# 1033 ORD, 364 DEF, 9 NC and PS, 4 COMB), and a caller that keeps its
+# verdicts then keeps one dict for each.  Certificates that quote L's
+# regex text are not shared; the text they quote is, since
+# `LanguageHandle.text` interns it.  The table stops growing at
+# _SHARED_CAP entries.
 _DFA_ONLY = frozenset({Family.NC, Family.SF, Family.PS, Family.ORD,
                        Family.DEF, Family.COMB})
 _SHARED: dict = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import classify as cls, regex as rx
+from .automata import enumerate_words
 from .classify import ClassifierConfig, DEFAULT_CONFIG, Family, Outcome
 from .language import LanguageHandle
 
@@ -398,5 +399,4 @@ def fixture_words(name: str, n: int) -> set[str]:
             out.add("b" * k + "a" * k)
         return out
     text, alphabet = FIXTURE_CLOSED_REGEX[name]
-    handle = _handle(text, alphabet)
-    return set(handle.words(n))
+    return set(enumerate_words(_handle(text, alphabet).dfa, n, cap=n))

@@ -6,6 +6,8 @@ evaluated with respect to it.
 
 from __future__ import annotations
 
+import sys
+
 from . import automata, regex as rx
 
 
@@ -38,10 +40,10 @@ class LanguageHandle:
 
     @property
     def text(self) -> str:
-        """The rendered regex, made once and shared by every certificate
-        that quotes it."""
+        """The rendered regex, made once, interned, and shared by every
+        certificate that quotes it."""
         if self._text is None:
-            self._text = rx.render(self.regex)
+            self._text = sys.intern(rx.render(self.regex))
         return self._text
 
     def _cross_check(self) -> None:

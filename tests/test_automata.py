@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from test_golden import regex_pool
 
 from subreg import automata as au, regex as rx
+from subreg.language import LanguageHandle
 
 AB = ("a", "b")
 
@@ -41,6 +42,15 @@ class TestCompileAndDeterminize:
         # two regexes for the same language give identical DFAs
         assert dfa("(a|b)*") == dfa("(a*b*)*")
         assert dfa("a(ba)*") == dfa("(ab)*a")
+
+    def test_equal_minimal_dfas_are_one_object(self):
+        # a handle rebuilt for the same regex keeps no DFA or text of its own
+        for text in ("(ab)*", "a*b|1", "(a|b)*a(a|b)", "0"):
+            r = rx.parse_regex(text, AB)
+            again = rx.parse_regex(rx.render(r), AB)
+            assert au.dfa_of(r, AB) is au.dfa_of(again, AB)
+            assert (LanguageHandle(AB, r).text
+                    is LanguageHandle(AB, again, check=False).text)
 
     def test_minimal_dfa_of_ab_star_has_three_states(self):
         # start/accept, after-a, and a rejecting sink

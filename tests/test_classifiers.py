@@ -4,11 +4,12 @@ import json
 import random
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from test_automata import all_words
 
-from subreg import automata as au, classify as cl
+from subreg import automata as au, classify as cl, hierarchy as hi
 from subreg.automata import Dfa
 from subreg.classify import DEFAULT_CONFIG, Family, Outcome
 from subreg.language import LanguageHandle
@@ -614,6 +615,23 @@ def _check_ord_against_oracle(dfa: Dfa) -> Outcome:
     return v.outcome
 
 
+def _overcounted_splits(dfa: Dfa) -> dict:
+    """Each copy multiset with at most `ORD_SPLIT_EXTRA` extra states, in
+    the order of the split search, mapped to the residuals d with more
+    copies than the start and the moves into d can enter."""
+    m = dfa.n_states
+    out = {}
+    for extra in range(cl.ORD_SPLIT_EXTRA + 1):
+        for dup in itertools.combinations_with_replacement(range(m), extra):
+            mult = tuple(1 + dup.count(c) for c in range(m))
+            entering = [int(d == dfa.start) for d in range(m)]
+            for c, row in enumerate(dfa.transitions):
+                for d in row:
+                    entering[d] += mult[c]
+            out[mult] = [d for d in range(m) if mult[d] > entering[d]]
+    return out
+
+
 def _definite_window_by_words(dfa: Dfa, most: int):
     """Smallest k <= most such that u x and v x agree on L for all words u,
     v of length < n (they reach every state) and every x of length k, by
@@ -989,6 +1007,48 @@ class TestOrderedOracle:
                 + _random_aperiodic_minimal_dfas(rng, 5, 30))
         outcomes = [_check_ord_against_oracle(d) for d in dfas]
         assert set(outcomes) == {Outcome.YES, Outcome.UNKNOWN}
+
+    def test_skipped_splits_have_a_smaller_ordered_split(self):
+        # `_split_order` skips a split in which some residual has more
+        # copies than the start and the moves into it can enter.  A
+        # skipped split may still have an order, but then so must the
+        # split with one copy of that residual less, which the search
+        # tries first.
+        corpus = [h.dfa for h in hi.random_corpus(300)
+                  if h.dfa.n_states <= cl.ORD_STATE_CAP and aperiodic(h.dfa)]
+        exhaustive = sorted(set().union(*map(_minimal_dfas, (1, 2, 3))),
+                            key=au.dfa_to_text)
+        counts = []
+        for dfas in (corpus, exhaustive):
+            skipped = ordered = 0
+            for dfa in dfas:
+                over = _overcounted_splits(dfa)
+                built = []
+
+                class Recording(cl._Split):
+                    def __init__(self, dfa, mult):
+                        built.append(tuple(mult))
+                        super().__init__(dfa, mult)
+
+                with mock.patch.object(cl, "_Split", Recording):
+                    cl._split_order(dfa, cl.ORD_SPLIT_EXTRA, [10**7])
+                splits = list(over)
+                tried = splits[:splits.index(built[-1]) + 1]
+                assert [m for m in tried if not over[m]] == built
+                for mult, residuals in over.items():
+                    if not residuals:
+                        continue
+                    skipped += 1
+                    if cl._Split(dfa, list(mult)).order([10**7]) is None:
+                        continue
+                    ordered += 1
+                    for d in residuals:
+                        less = list(mult)
+                        less[d] -= 1
+                        assert cl._Split(dfa, less).order([10**7]), \
+                            (au.dfa_to_text(dfa), mult, d)
+            counts.append((skipped, ordered))
+        assert counts == [(2725, 807), (2602, 346)]
 
     def test_definite_language_without_a_small_ordered_automaton(self):
         h = lang("ba(a|b)b")

@@ -230,8 +230,8 @@ class TestGrammar:
         code, out, _ = run(capsys, "grammar", "enum", str(path), "-n", "60",
                            "--format", "json")
         assert code == 0
-        assert set(json.loads(out)["words"]) == (
-            {""} | {"a" * k + "bbb" for k in range(1, 58)})  # aa*bbb|1
+        assert set(json.loads(out)["words"]) == gr.fixture_words(
+            "nil_o_star", 60)
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, _ = run(capsys, "grammar", "validate", "/nonexistent.json")
