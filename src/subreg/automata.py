@@ -372,10 +372,8 @@ def complement(dfa: Dfa) -> Dfa:
 # Enumeration and quotients
 
 
-def enumerate_words(dfa: Dfa, n: int, cap: int = 32) -> list[str]:
-    """Exactly L(dfa) restricted to length <= n, length-lex ordered."""
-    if n > cap:
-        raise ResourceCapExceeded(f"enumeration bound {n} exceeds cap {cap}")
+def enumerate_words(dfa: Dfa, n: int) -> list[str]:
+    """Exactly L(dfa) up to length n, length-lex; the caller bounds n."""
     dist = distance_to_final(dfa)  # for pruning
     out = []
     frontier = [("", dfa.start)]

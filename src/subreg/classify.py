@@ -284,10 +284,9 @@ def _classify_def(an):
         return _no(Family.DEF)
     cert = {"window": k}
     if len(dfa.alphabet) ** k <= DEF_WORD_CAP:
-        # the guard bounds the words listed here, so no length cap applies.
-        # Every word w of length k takes all states to start.w, so Q.w is
+        # each word w of length k takes all states to start.w, so Q.w is
         # inside F exactly when w is in L: B is L's words of length k
-        words = enumerate_words(dfa, k, cap=k)
+        words = enumerate_words(dfa, k)
         cert["A"] = [w for w in words if len(w) < k]
         cert["B"] = [w for w in words if len(w) == k]
     return _yes(Family.DEF, cert)
@@ -1080,6 +1079,13 @@ def _lang_regex(value, alphabet) -> rx.Regex:
     raise CertificateError(f"cannot interpret language value {value!r}")
 
 
+def _word_list(cert: dict, key: str) -> list:
+    """A certificate's word list; text is refused, not split into letters."""
+    if not isinstance(cert[key], list):
+        raise TypeError(f"{key} must be a list")
+    return cert[key]
+
+
 def _comet_parts(l: LanguageHandle, family: Family, cert: dict):
     """The parts (A, E, G, H) of L = A | E G* H that a rational
     certificate states, or None for a family it does not fit."""
@@ -1090,7 +1096,7 @@ def _comet_parts(l: LanguageHandle, family: Family, cert: dict):
         return _lang_regex(cert[key], V)
 
     if family is Family.COMB:
-        x = cert["X"]
+        x = _word_list(cert, "X")
         if any(a not in V for a in x):
             raise CertificateError("X must contain alphabet letters")
         return rx.EMPTY, one, sigma, rx.finite_language_regex(x)
@@ -1115,23 +1121,6 @@ def _comet_parts(l: LanguageHandle, family: Family, cert: dict):
     return None
 
 
-def _is_definite(dfa: Dfa, k: int, cap: int) -> bool:
-    """Whether L is k-definite: after any k letters, acceptance agrees on
-    every state pair.  The images of the state set under the words of
-    each length are found layer by layer, each layer bounded by `cap`."""
-    columns = list(zip(*dfa.transitions))
-    finals = sum(1 << q for q in dfa.finals)
-    layer = {(1 << dfa.n_states) - 1}
-    for _ in range(k):
-        layer = {_image(states, column) for states in layer
-                 for column in columns}
-        if len(layer) > cap:
-            raise ResourceCapExceeded(
-                f"image sets of the window check exceed cap {cap}")
-    return all(not states & finals or not states & ~finals
-               for states in layer)
-
-
 def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
                        config: ClassifierConfig = DEFAULT_CONFIG) -> bool:
     """Re-derive the family's defining equation from the certificate and
@@ -1146,10 +1135,12 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
             if not isinstance(k, int) or k < 0:
                 raise CertificateError("window must be a natural number")
             if "A" not in cert and "B" not in cert:
-                return _is_definite(dfa, k, config.monoid_cap)
+                # a minimal DFA is k-definite exactly from its window on
+                window = _def_window(dfa)
+                return window is not None and window <= k
             # A is L's words shorter than k and B its words of length k
-            if (any(len(w) >= k for w in cert["A"])
-                    or any(len(w) != k for w in cert["B"])):
+            a, b = _word_list(cert, "A"), _word_list(cert, "B")
+            if any(len(w) >= k for w in a) or any(len(w) != k for w in b):
                 return False
         parts = _comet_parts(l, family, cert)
         if parts is not None:

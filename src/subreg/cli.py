@@ -192,7 +192,7 @@ def cmd_grammar(args) -> int:
         elif args.kind == "elimlambda":
             out = gr.eliminate_empty_word_selection(g)
         else:
-            out = gr.definite_to_sydef(g, _config(args))
+            out = gr.definite_to_sydef(g)
     except gr.GrammarError as exc:
         raise DomainError(str(exc)) from exc
     print(_dump_json(out.to_json()))
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "transform":
             q.add_argument("kind",
                            choices=("rcom", "lcom", "elimlambda", "def2sydef"))
-        if name in ("classify", "transform"):
+        if name == "classify":
             add_classify_options(q)
         else:
             add_format(q)

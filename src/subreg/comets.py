@@ -78,7 +78,6 @@ class Component:
 
 @dataclass(frozen=True)
 class NormalFormResult:
-    alphabet: tuple[str, ...]
     components: tuple[Component, ...]
     single_comet: bool
     verified: bool
@@ -105,7 +104,7 @@ def _finite_words(r: rx.Regex, alphabet) -> list[str]:
     if language_class(r) is LanguageClass.INFINITE:
         raise CometError(f"{rx.render(r)} is not finite")
     d = dfa_of(r, alphabet)
-    return automata.enumerate_words(d, d.n_states, cap=max(32, d.n_states))
+    return automata.enumerate_words(d, d.n_states)
 
 
 def finite_first_tail(d: CometDecomposition) -> tuple[list[str], rx.Regex, rx.Regex]:
@@ -162,8 +161,7 @@ def _verified(d: CometDecomposition, components, single: bool,
     for c in components:
         union = rx.union(union, c.regex())
     verified = automata.equivalent(dfa_of(union, d.alphabet), d.language_dfa())
-    return NormalFormResult(d.alphabet, tuple(components), single, verified,
-                            side)
+    return NormalFormResult(tuple(components), single, verified, side)
 
 
 def left_normal_form(d: CometDecomposition) -> NormalFormResult:

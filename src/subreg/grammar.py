@@ -45,7 +45,6 @@ class ContextualGrammar:
     alphabet: tuple[str, ...]
     components: tuple[SelectionComponent, ...]
     axioms: tuple[str, ...]
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def to_json(self) -> dict:
         out = {
@@ -91,6 +90,8 @@ def grammar_from_json(data: dict) -> ContextualGrammar:
             }
             components.append(SelectionComponent(handle, contexts,
                                                  certificates))
+        if not isinstance(data["axioms"], list):
+            raise TypeError("axioms must be a list")
         return ContextualGrammar(alphabet, tuple(components),
                                  tuple(map(_text, data["axioms"])))
     except (KeyError, TypeError, ValueError) as exc:
@@ -227,9 +228,7 @@ def _with_middle_star(g: ContextualGrammar, on_left: bool) -> ContextualGrammar:
         handle = LanguageHandle(u, new_regex, check=False)
         components.append(SelectionComponent(handle, comp.contexts))
     alphabet = tuple(sorted(set(g.alphabet) | {x}))
-    meta = dict(g.metadata)
-    meta["fresh_letter"] = x
-    return ContextualGrammar(alphabet, tuple(components), g.axioms, meta)
+    return ContextualGrammar(alphabet, tuple(components), g.axioms)
 
 
 def transform_to_rcom(g: ContextualGrammar) -> ContextualGrammar:
@@ -264,17 +263,15 @@ def eliminate_empty_word_selection(g: ContextualGrammar) -> ContextualGrammar:
                 if w not in axioms:
                     axioms.append(w)
     return ContextualGrammar(g.alphabet, rest,
-                             tuple(sorted(axioms, key=lambda w: (len(w), w))),
-                             dict(g.metadata))
+                             tuple(sorted(axioms, key=lambda w: (len(w), w))))
 
 
-def definite_to_sydef(g: ContextualGrammar,
-                      config: ClassifierConfig = DEFAULT_CONFIG) -> ContextualGrammar:
+def definite_to_sydef(g: ContextualGrammar) -> ContextualGrammar:
     """Turn a grammar with definite selections A ∪ U*B into one with
     symmetric definite selections U*B, moving the finitely many words
-    derived through A into the axioms."""
+    derived through A into the axioms (DEF reads no ClassifierConfig)."""
     validate(g)
-    verdicts = [cls.classify(comp.selection, Family.DEF, config)
+    verdicts = [cls.classify(comp.selection, Family.DEF)
                 for comp in g.components]
     for i, v in enumerate(verdicts):
         if v.outcome is not Outcome.YES:
@@ -306,8 +303,7 @@ def definite_to_sydef(g: ContextualGrammar,
         components.append(SelectionComponent(handle, comp.contexts, cert))
     return ContextualGrammar(g.alphabet, tuple(components),
                              tuple(sorted(set(axioms),
-                                          key=lambda w: (len(w), w))),
-                             dict(g.metadata))
+                                          key=lambda w: (len(w), w))))
 
 
 # ---------------------------------------------------------------------------
@@ -399,4 +395,4 @@ def fixture_words(name: str, n: int) -> set[str]:
             out.add("b" * k + "a" * k)
         return out
     text, alphabet = FIXTURE_CLOSED_REGEX[name]
-    return set(enumerate_words(_handle(text, alphabet).dfa, n, cap=n))
+    return set(enumerate_words(_handle(text, alphabet).dfa, n))

@@ -56,9 +56,6 @@ class LanguageHandle:
                 f"{sorted(got ^ set(expected))}"
             )
 
-    def words(self, n: int) -> list[str]:
-        return automata.enumerate_words(self.dfa, n)
-
     def accepts(self, word: str) -> bool:
         return self.dfa.accepts(word)
 

@@ -138,6 +138,17 @@ class TestCertificates:
             cl.verify_certificate(lang("(a|b)*b"), Family.DEF, cert)
 
     @pytest.mark.parametrize("family,cert", [
+        (Family.COMB, {"X": "b"}),
+        (Family.DEF, {"window": 1, "A": "", "B": ["b"]}),
+        (Family.DEF, {"window": 1, "A": [], "B": "b"}),
+    ], ids=["COMB_X", "DEF_A", "DEF_B"])
+    def test_word_lists_are_not_text(self, family, cert):
+        # read letter by letter, each would verify on (a|b)*b
+        with pytest.raises(cl.CertificateError,
+                           match="ill-typed certificate field"):
+            cl.verify_certificate(lang("(a|b)*b"), family, cert)
+
+    @pytest.mark.parametrize("family,cert", [
         (Family.NC, {}),
         (Family.DEF, {"window": 1, "A": []}),
     ], ids=["NC", "DEF"])
@@ -529,13 +540,6 @@ class TestCertificateCaps:
                                match="transition monoid exceeds cap 1"):
                 cl.verify_certificate(lang("(ab)*"), family, {"bound": 1}, cfg)
 
-    def test_window_check_cap_names_its_image_sets(self):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, monoid_cap=1)
-        with pytest.raises(cl.CertificateError,
-                           match="image sets of the window check exceed cap 1"):
-            cl.verify_certificate(lang("(a|b)*b"), Family.DEF, {"window": 1},
-                                  cfg)
-
 
 # ---------------------------------------------------------------------------
 # ORD against a brute-force definition
@@ -659,6 +663,11 @@ class TestDefiniteOracle:
                 yes += 1
                 assert v.certificate["window"] == window
                 assert cl.verify_certificate(h, Family.DEF, v.certificate)
+            # the window-only check holds exactly from the window on
+            for k in range(dfa.n_states + 2):
+                assert cl.verify_certificate(h, Family.DEF, {"window": k}) \
+                    == (window is not None and window <= k), \
+                    (au.dfa_to_text(dfa), k)
         assert (len(dfas), yes) == (1054, 56)
 
     def test_window_of_a_long_word(self):

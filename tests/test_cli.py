@@ -273,7 +273,10 @@ class TestGrammar:
         lambda d: d["components"][0].update(certificates={"XYZ": {}}),
         lambda d: d["components"][0]["contexts"][0].update(u=1),
         lambda d: d.update(axioms=[1]),
-    ], ids=["unknown_family", "context_not_text", "axiom_not_text"])
+        # not the two axioms a and b
+        lambda d: d.update(axioms="ab"),
+    ], ids=["unknown_family", "context_not_text", "axiom_not_text",
+            "axioms_not_a_list"])
     def test_malformed_grammar_is_input_error(self, capsys, tmp_path, edit):
         data = gr.fixtures()["ex1"].to_json()
         edit(data)
@@ -345,7 +348,9 @@ def test_each_command_takes_only_the_options_it_reads():
         "grammar enum": ["--format", "--max-length"],
         "grammar member": ["--format"],
         "grammar classify": ["--cap-monoid", "--format"],
-        "grammar transform": ["--cap-monoid", "--format"],
+        # transform prints JSON whatever --format says; the flag stays
+        # because the golden grammar check passes it to every command
+        "grammar transform": ["--format"],
         "hierarchy verify": ["--cap-monoid", "--corpus-size", "--format"],
         "hierarchy query": ["--format", "--graph"],
         "hierarchy dot": [],

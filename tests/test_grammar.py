@@ -119,7 +119,7 @@ class TestTransforms:
         for name, g in gr.fixtures().items():
             out = gr.transform_to_rcom(g)
             assert gr.enumerate_language(out, 6) == gr.enumerate_language(g, 6)
-            assert out.metadata["fresh_letter"] not in g.alphabet
+            assert len(set(out.alphabet) - set(g.alphabet)) == 1
             for comp in out.components:
                 from subreg import classify as cl
                 v = cl.classify(comp.selection, Family.RCOM)

@@ -1,6 +1,6 @@
 import pytest
 
-from subreg import regex as rx
+from subreg import automata, regex as rx
 from subreg.language import LanguageHandle
 
 
@@ -9,7 +9,7 @@ class TestLanguageHandle:
         h = LanguageHandle.from_text("(ab)*", ("a", "b"))
         assert h.accepts("abab")
         assert not h.accepts("aba")
-        assert h.words(4) == ["", "ab", "abab"]
+        assert automata.enumerate_words(h.dfa, 4) == ["", "ab", "abab"]
 
     def test_unknown_letter_rejected(self):
         with pytest.raises(rx.RegexError):
