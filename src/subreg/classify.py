@@ -1185,13 +1185,8 @@ def verify_certificate(l: LanguageHandle, family: Family, cert: dict,
                 if len({q in dfa.finals for q in orbit[min(k, tail):]}) > 1:
                     return False
             return True
-        for t in monoid:  # t^k = t^(k+1), which for k >= n is t^n = t^(n+1)
-            power = tuple(range(dfa.n_states))
-            for _ in range(min(k, dfa.n_states)):
-                power = tuple(t[q] for q in power)
-            if power != tuple(t[q] for q in power):
-                return False
-        return True
+        bound = aperiodicity_bound(monoid)  # t^k = t^(k+1) for every t
+        return bound is not None and bound <= k
     except KeyError as exc:
         raise CertificateError(f"missing certificate field {exc}") from exc
     except (TypeError, AttributeError) as exc:

@@ -7,14 +7,13 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import sys
 
 from . import automata, classify as cls, comets, grammar as gr, hierarchy, regex as rx
-from .classify import DEFAULT_CONFIG, Family, Outcome
+from .classify import Family, Outcome
 from .language import LanguageHandle
 
 
@@ -54,19 +53,9 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise InputError(f"{flag} must be at least {low}, got {value}")
 
 
-def _config(args, base=DEFAULT_CONFIG):
-    """`base` with the --cap-monoid override applied."""
-    value = args.cap_monoid
-    if value is None:
-        return base
-    _at_least("--cap-monoid", value, 1)
-    return dataclasses.replace(base, monoid_cap=value)
-
-
 def cmd_classify(args) -> int:
     handle = _language(args.regex, args.alphabet)
-    config = _config(args)
-    verdicts = cls.classify_all(handle, config)
+    verdicts = cls.classify_all(handle)
     if args.format == "json":
         report = {
             "alphabet": list(handle.alphabet),
@@ -133,8 +122,12 @@ def _load_grammar(path: str) -> gr.ContextualGrammar:
 
 
 def cmd_grammar(args) -> int:
+    """Run one grammar subcommand on the grammar file, loaded once after
+    the subcommand's own arguments are checked."""
+    if args.gcommand == "enum":
+        _at_least("-n/--max-length", args.max_length, 0)
+    g = _load_grammar(args.grammar)
     if args.gcommand == "validate":
-        g = _load_grammar(args.grammar)
         m = gr.measures(g)
         if args.format == "json":
             print(_dump_json({"measures": m.to_json(), "valid": True}))
@@ -142,8 +135,6 @@ def cmd_grammar(args) -> int:
             print(f"valid; l_A={m.l_a} l_C={m.l_c} l={m.l}")
         return 0
     if args.gcommand == "enum":
-        _at_least("-n/--max-length", args.max_length, 0)
-        g = _load_grammar(args.grammar)
         words = gr.enumerate_language(g, args.max_length)
         if args.format == "json":
             print(_dump_json({"n": args.max_length, "words": words}))
@@ -152,7 +143,6 @@ def cmd_grammar(args) -> int:
                 print(w or "ε")
         return 0
     if args.gcommand == "member":
-        g = _load_grammar(args.grammar)
         word = "" if args.word == "ε" else args.word
         ok = gr.member(g, word)
         if args.format == "json":
@@ -161,9 +151,7 @@ def cmd_grammar(args) -> int:
             print("yes" if ok else "no")
         return 0
     if args.gcommand == "classify":
-        g = _load_grammar(args.grammar)
-        config = _config(args)
-        maps = gr.classify_selections(g, config)
+        maps = gr.classify_selections(g)
         if args.format == "json":
             report = [{
                 "component": i,
@@ -183,8 +171,7 @@ def cmd_grammar(args) -> int:
                 if unknown:
                     print(f"  unknown: {', '.join(unknown)}")
         return 0
-    g = _load_grammar(args.grammar)  # transform, the last subcommand
-    try:
+    try:  # transform, the last subcommand
         if args.kind == "rcom":
             out = gr.transform_to_rcom(g)
         elif args.kind == "lcom":
@@ -202,10 +189,9 @@ def cmd_grammar(args) -> int:
 def cmd_hierarchy(args) -> int:
     if args.hcommand == "verify":
         _at_least("--corpus-size", args.corpus_size, 1)
-        report = hierarchy.verify_witnesses(config=_config(args))
+        report = hierarchy.verify_witnesses()
         edges = hierarchy.edge_consistency_check(
-            hierarchy.random_corpus(args.corpus_size),
-            config=_config(args, hierarchy.CORPUS_CONFIG))
+            hierarchy.random_corpus(args.corpus_size))
         combined = {"edge_consistency": edges, "witnesses": report}
         ok = report["n_failed"] == 0 and edges["n_violations"] == 0
         if args.format == "json":
@@ -250,14 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    def add_classify_options(p):  # a command that classifies
-        add_format(p)
-        p.add_argument("--cap-monoid", type=int, default=None)
-
     p = sub.add_parser("classify", help="classify a regex into every family")
     p.add_argument("regex", help="regex literal or path to a regex file")
     p.add_argument("--alphabet", required=True)
-    add_classify_options(p)
+    add_format(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("nf2com", help="left/right normal form of E G* H")
@@ -278,11 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("-n", "--max-length", type=int, default=6)
         if name == "member":
             q.add_argument("word", help="word to test (ε for the empty word)")
-        if name == "transform":
+        if name == "transform":  # prints JSON, so takes no --format
             q.add_argument("kind",
                            choices=("rcom", "lcom", "elimlambda", "def2sydef"))
-        if name == "classify":
-            add_classify_options(q)
         else:
             add_format(q)
         q.set_defaults(func=cmd_grammar)
@@ -291,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     hsub = p.add_subparsers(dest="hcommand", required=True)
     q = hsub.add_parser("verify")
     q.add_argument("--corpus-size", type=int, default=1000)
-    add_classify_options(q)
+    add_format(q)
     q.set_defaults(func=cmd_hierarchy)
     q = hsub.add_parser("query")
     q.add_argument("x")

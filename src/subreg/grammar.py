@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import classify as cls, regex as rx
 from .automata import enumerate_words
-from .classify import ClassifierConfig, DEFAULT_CONFIG, Family, Outcome
+from .classify import Family, Outcome
 from .language import LanguageHandle
 
 
@@ -199,11 +199,10 @@ def member(g: ContextualGrammar, word: str) -> bool:
     return False
 
 
-def classify_selections(g: ContextualGrammar,
-                        config: ClassifierConfig = DEFAULT_CONFIG):
+def classify_selections(g: ContextualGrammar):
     """One Family -> Verdict map per component, each evaluated over the
-    component's own selection alphabet."""
-    return [cls.classify_all(comp.selection, config) for comp in g.components]
+    component's own selection alphabet under `DEFAULT_CONFIG`."""
+    return [cls.classify_all(comp.selection) for comp in g.components]
 
 
 def _fresh_letter(g: ContextualGrammar) -> str:

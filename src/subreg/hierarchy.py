@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import classify as cls, grammar as gr, regex as rx
 from .classify import ClassifierConfig, DEFAULT_CONFIG, Family, Outcome
@@ -95,12 +95,7 @@ class HierarchyGraph:
 
     def to_dot(self) -> str:
         lines = [f"digraph {self.name} {{", "  rankdir=BT;"]
-        groups = {g: sorted(g) for g in self.equalities}
-        label = {}
-        for node in self.nodes:
-            rep = self.canon(node)
-            members = next((m for g, m in groups.items() if node in g), [node])
-            label[rep] = " = ".join(members)
+        label = {min(g): " = ".join(sorted(g)) for g in self.equalities}
         for rep in sorted(set(self._canon.values())):
             lines.append(f'  "{rep}" [label="{label.get(rep, rep)}"];')
         for e in sorted(self.edges, key=lambda e: (e.src, e.dst)):
@@ -290,27 +285,34 @@ def registry() -> list[WitnessEntry]:
     return entries
 
 
+def _certified(handle, family, supplied, config):
+    """(ok, reason): `handle` is decided yes in `family` and its certificate
+    verifies, or is unknown and the non-empty `supplied` certificate
+    verifies."""
+    verdict = cls.classify(handle, family, config)
+    if verdict.outcome is Outcome.YES:
+        if verdict.certificate is not None:
+            ok = cls.verify_certificate(handle, family,
+                                        verdict.certificate, config)
+            return ok, "decided yes" if ok else "certificate rejected"
+        return True, "decided yes"
+    if verdict.outcome is Outcome.UNKNOWN and supplied:
+        ok = cls.verify_certificate(handle, family, supplied, config)
+        return ok, ("supplied certificate verified" if ok
+                    else "supplied certificate rejected")
+    return False, f"expected yes, got {verdict.outcome.value}"
+
+
 def _verify_language_claim(handle, claim, config):
     if claim.family == "REG":
         return True, "regular by construction"
     family = cls.family_from_name(claim.family)
-    verdict = cls.classify(handle, family, config)
     if claim.expected == "yes":
-        if verdict.outcome is Outcome.YES:
-            if verdict.certificate is not None:
-                ok = cls.verify_certificate(handle, family,
-                                            verdict.certificate, config)
-                return ok, "decided yes" if ok else "certificate rejected"
-            return True, "decided yes"
-        if verdict.outcome is Outcome.UNKNOWN and claim.certificate:
-            ok = cls.verify_certificate(handle, family, claim.certificate,
-                                        config)
-            return ok, ("supplied certificate verified" if ok
-                        else "supplied certificate rejected")
-        return False, f"expected yes, got {verdict.outcome.value}"
-    if verdict.outcome is Outcome.NO:
+        return _certified(handle, family, claim.certificate, config)
+    outcome = cls.classify(handle, family, config).outcome
+    if outcome is Outcome.NO:
         return True, "decided no"
-    return False, f"expected no, got {verdict.outcome.value}"
+    return False, f"expected no, got {outcome.value}"
 
 
 def _checked_fixture(fixtures, name):
@@ -329,19 +331,10 @@ def _verify_grammar_claim(fix, claim, config):
         return True, "grammar generates the closed form; selections regular"
     family = cls.family_from_name(claim.family[3:-1])
     for i, comp in enumerate(fix.components):
-        verdict = cls.classify(comp.selection, family, config)
-        if verdict.outcome is Outcome.YES:
-            if verdict.certificate is not None and not cls.verify_certificate(
-                    comp.selection, family, verdict.certificate, config):
-                return False, f"component {i}: certificate rejected"
-            continue
-        supplied = comp.certificates.get(family)
-        if (verdict.outcome is Outcome.UNKNOWN and supplied is not None
-                and cls.verify_certificate(comp.selection, family, supplied,
-                                           config)):
-            continue
-        return False, (f"component {i}: selection not certified "
-                       f"in {family.value}")
+        ok, reason = _certified(comp.selection, family,
+                                comp.certificates.get(family), config)
+        if not ok:
+            return False, f"component {i} in {family.value}: {reason}"
     return True, "grammar generates the closed form with certified selections"
 
 
@@ -438,16 +431,16 @@ def random_corpus(count: int = 1000,
 CORPUS_CONFIG = replace(DEFAULT_CONFIG, ord_search_budget=8000)
 
 
-def edge_consistency_check(corpus,
-                           config: ClassifierConfig = CORPUS_CONFIG) -> dict:
+def edge_consistency_check(corpus) -> dict:
     """Check every Fig. 1 family edge X ⊂ Y against the corpus (X=yes
-    forces Y=yes): `classify_all` raises `ConsistencyError` on each
-    language that breaks one, and each is reported as a violation.  Also
-    report how each edge's properness is covered by the registry."""
+    forces Y=yes): `classify_all` under `CORPUS_CONFIG` raises
+    `ConsistencyError` on each language that breaks one, and each is
+    reported as a violation.  Also report how each edge's properness is
+    covered by the registry."""
     violations = []
     for handle in corpus:
         try:
-            cls.classify_all(handle, config)
+            cls.classify_all(handle, CORPUS_CONFIG)
         except cls.ConsistencyError as exc:
             violations.append({"language": rx.render(handle.regex),
                                "reason": str(exc)})

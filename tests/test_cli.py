@@ -70,21 +70,6 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "a", "--alphabet=")
         assert (code, out, err) == (2, "", "error: --alphabet is required\n")
 
-    def test_monoid_cap_gives_unknown(self, capsys):
-        code, out, _ = run(capsys, "classify", "(a|b)*b", "--alphabet", "ab",
-                           "--cap-monoid", "2", "--format", "json")
-        assert code == 0
-        verdicts = {v["family"]: v for v in json.loads(out)["verdicts"]}
-        assert verdicts["NC"]["outcome"] == "unknown"
-        assert "cap 2" in verdicts["NC"]["reason"]
-
-    @pytest.mark.parametrize("flag", ["--cap-monoid"])
-    def test_flag_below_one_is_input_error(self, capsys, flag):
-        code, out, err = run(capsys, "classify", "ab", "--alphabet", "ab",
-                             flag, "0")
-        assert code == 2 and out == ""
-        assert flag in err and err.count("\n") == 1
-
     @pytest.mark.parametrize("text, alphabet", [
         ("(" * 3000 + "a" + ")" * 3000, "ab"), ("a*" * 2000, "ab"),
         ("a" * 600, "ab"), ("ab", "ab" + "".join(map(chr, range(256, 556))))],
@@ -311,14 +296,6 @@ class TestHierarchy:
         assert "0 failed" in out
         assert "0 violations" in out
 
-    def test_verify_takes_the_config_flags(self, capsys):
-        # a one-element monoid cap leaves NC/PS/ORD claims unknown, so
-        # the registry check fails
-        code, out, _ = run(capsys, "hierarchy", "verify", "--corpus-size", "5",
-                           "--cap-monoid", "1")
-        assert code == 1
-        assert "ab_star NC=yes: expected yes, got unknown" in out
-
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_corpus_size_below_one_is_input_error(self, capsys, size):
         code, out, err = run(capsys, "hierarchy", "verify",
@@ -342,16 +319,14 @@ def _leaf_options(parser, path=()):
 
 def test_each_command_takes_only_the_options_it_reads():
     assert dict(_leaf_options(cli.build_parser())) == {
-        "classify": ["--alphabet", "--cap-monoid", "--format"],
+        "classify": ["--alphabet", "--format"],
         "nf2com": ["--alphabet", "--format", "--side"],
         "grammar validate": ["--format"],
         "grammar enum": ["--format", "--max-length"],
         "grammar member": ["--format"],
-        "grammar classify": ["--cap-monoid", "--format"],
-        # transform prints JSON whatever --format says; the flag stays
-        # because the golden grammar check passes it to every command
-        "grammar transform": ["--format"],
-        "hierarchy verify": ["--cap-monoid", "--corpus-size", "--format"],
+        "grammar classify": ["--format"],
+        "grammar transform": [],  # prints JSON
+        "hierarchy verify": ["--corpus-size", "--format"],
         "hierarchy query": ["--format", "--graph"],
         "hierarchy dot": [],
     }

@@ -122,10 +122,11 @@ def grammar_lines(directory) -> list[str]:
         path.write_text(json.dumps(g.to_json()))
         for command in _grammar_commands(g.alphabet):
             stdout = io.StringIO()
+            fmt = [] if command[0] == "transform" else ["--format", "json"]
             with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(["grammar", command[0], str(path),
-                                 *command[1:], "--format", "json"])
+                                 *command[1:], *fmt])
             out.append(line({"fixture": name, "command": command,
                              "exit": code, "stdout": stdout.getvalue()}))
     return out

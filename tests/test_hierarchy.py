@@ -106,6 +106,30 @@ class TestWitnessRegistry:
             "witness": "ex1", "family": "EC(ORD)", "expected": "yes",
             "reason": "cannot check certificate: cap 1"}]
 
+    def test_grammar_claim_names_the_component_and_why(self):
+        # ex1's second selection (ab)* is not definite
+        report = hi.verify_witnesses([hi._grammar_entry("ex1", "ex1",
+                                                        ["DEF"])])
+        assert report["failed"] == [{
+            "witness": "ex1", "family": "EC(DEF)", "expected": "yes",
+            "reason": "component 1 in DEF: expected yes, got no"}]
+
+    @pytest.mark.parametrize("supplied, ok, reason", [
+        ({"regex": "aa*"}, True,
+         "grammar generates the closed form with certified selections"),
+        ({"regex": "a"}, False,
+         "component 0 in UF: supplied certificate rejected"),
+        ({}, False, "component 0 in UF: expected yes, got unknown")])
+    def test_grammar_claim_reads_the_supplied_certificate(self, supplied, ok,
+                                                          reason):
+        # a|aa* has a union in its source regex, so UF answers unknown
+        g = gr.ContextualGrammar(("a",), (gr.SelectionComponent(
+            LanguageHandle.from_text("a|aa*", ("a",)),
+            (gr.Context("a", ""),), {Family.UF: supplied}),), ("a",))
+        claim = hi.Claim("EC(UF)", "yes", True)
+        assert hi._verify_grammar_claim(g, claim, DEFAULT_CONFIG) == (ok,
+                                                                      reason)
+
     def test_fixtures_built_once_and_enumerated_once_per_entry(
             self, monkeypatch):
         calls = {"fixtures": 0, "enumerate_language": 0}
