@@ -9,13 +9,15 @@ has empty moves, and no rational operation (union, concatenation,
 star) is built on automata: the deciders read the minimal DFA's states
 instead.  No automaton is reversed: the deciders that read a word
 backwards take letter preimages of state sets of the minimal DFA.
-``determinize`` is the one subset construction, over int subsets;
-``reachable`` is the one forward reachability helper and
-``distance_to_final`` the one backward one.
+``determinize`` is the one subset construction, over int subsets, and
+``distance_to_final`` the one reachability helper.
 
 DFAs are always complete (an explicit sink is added where needed) and,
 after ``minimize``, canonically numbered by breadth-first order over the
 sorted alphabet, so equal languages yield structurally identical values.
+Every DFA that ``determinize`` or ``minimize`` returns is accessible (each
+state is reachable from the start), and so is one that keeps such a DFA's
+moves and start, as ``complement`` does; so nothing re-checks that.
 """
 
 from __future__ import annotations
@@ -257,19 +259,6 @@ def dfa_of(r: Regex, alphabet: tuple[str, ...]) -> Dfa:
     return minimize(determinize(compile_regex(r, alphabet)))
 
 
-def reachable(dfa: Dfa) -> set[int]:
-    """States reachable from the start state."""
-    seen = {dfa.start}
-    queue = deque([dfa.start])
-    while queue:
-        s = queue.popleft()
-        for t in dfa.transitions[s]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # Comparisons
 
@@ -328,13 +317,10 @@ def distance_to_final(dfa: Dfa) -> dict[int, int]:
     return dist
 
 
-def useful_states(dfa: Dfa) -> set[int]:
-    """States both reachable and able to reach an accepting state."""
-    return reachable(dfa) & set(distance_to_final(dfa))
-
-
 def cardinality_class(dfa: Dfa) -> CardinalityClass:
-    useful = useful_states(dfa)
+    """How many words L(dfa) holds; `dfa` is accessible, so the states
+    that reach F are the useful ones."""
+    useful = set(distance_to_final(dfa))
     if dfa.start not in useful:
         return CardinalityClass.EMPTY
     # L is infinite iff the useful states carry a cycle, that is iff a
@@ -425,8 +411,9 @@ def transition_monoid(dfa: Dfa, cap: int = 10 ** 6) -> list[tuple[int, ...]]:
 
 
 def dfa_to_regex(dfa: Dfa) -> Regex:
-    """A regex for L(dfa), by state elimination over a generalized NFA."""
-    useful = useful_states(dfa)
+    """A regex for L(dfa), by state elimination over a generalized NFA;
+    `dfa` is accessible, so the states that reach F are the useful ones."""
+    useful = set(distance_to_final(dfa))  # set order fixes the edge order
     if dfa.start not in useful:
         return EMPTY
     START, END = -1, -2

@@ -30,7 +30,6 @@ from .automata import (
     enumerate_words,
     equivalent,
     minimize,
-    reachable,
     residual,
     subset,
     to_nfa,
@@ -111,7 +110,7 @@ ORD_SPLIT_EXTRA = 2         # most extra states in a split automaton
 # states of K's subset construction in the SYDEF and 2COM search
 COMET_STATE_CAP = 4096
 DEF_WORD_CAP = 1 << 16      # most words a DEF certificate lists
-_SUBSET_CAP = 10 ** 6       # most state sets the RCOM and LCOM searches reach
+_SUBSET_CAP = 10 ** 6       # most sets LCOM visits (RCOM visits singletons)
 
 
 class CertificateError(Exception):
@@ -222,7 +221,7 @@ class _Analysis:
         """The closed state sets for `_comet_set` (SYDEF and 2COM) that hold
         no state with an empty residual, which no P covering a non-empty L
         holds (for an empty L the empty set comes first and covers)."""
-        useful = sum(1 << q for q in automata.useful_states(self.dfa))
+        useful = sum(1 << q for q in automata.distance_to_final(self.dfa))
         closed = _closed_state_sets(self.dfa, self.columns, COMET_STATE_CAP)
         return [p for p in closed if not p & ~useful]
 
@@ -488,6 +487,11 @@ def _split_order(dfa: Dfa, extra_cap: int, budget):
     mult[d] > [d = start] + Σ_c mult[c]·|{a : δ(c, a) = d}|: a copy of d
     is then unreachable, and without it the automaton is ordered on a
     split with one extra state less, which was searched to the end before.
+
+    The split found has no unreachable copy: the copies the start copy
+    reaches are closed under moves, keep a copy of each residual and stay
+    ordered, so a split with fewer copies is ordered and the search would
+    have stopped earlier.  A budget that runs out raises instead.
     """
     m = dfa.n_states
     into = [[row.count(d) for row in dfa.transitions] for d in range(m)]
@@ -601,19 +605,10 @@ def _classify_ord(an):
     order, rows, owner = found
     if len(owner) == dfa.n_states:  # the minimal DFA is ordered
         return _yes(Family.ORD, {"order": order})
-    split = Dfa(dfa.alphabet, tuple(map(tuple, rows)),
-                owner.index(dfa.start),
+    split = Dfa(dfa.alphabet, tuple(map(tuple, rows)), owner.index(dfa.start),
                 frozenset(s for s, c in enumerate(owner) if c in dfa.finals))
-    keep = sorted(reachable(split))
-    renumber = {s: i for i, s in enumerate(keep)}
-    split = Dfa(dfa.alphabet,
-                tuple(tuple(renumber[t] for t in rows[s]) for s in keep),
-                renumber[split.start],
-                frozenset(renumber[s] for s in keep if s in split.finals))
-    return _yes(Family.ORD, {
-        "order": [renumber[s] for s in order if s in renumber],
-        "automaton": automata.dfa_to_text(split),
-    })
+    return _yes(Family.ORD, {"order": order,
+                             "automaton": automata.dfa_to_text(split)})
 
 
 def _classify_comm(an):

@@ -81,15 +81,15 @@ def grammar_from_json(data: dict) -> ContextualGrammar:
         components = []
         for entry in data["components"]:
             sel = entry["selection"]
-            handle = LanguageHandle.from_text(sel["regex"], sel["alphabet"])
+            handle = LanguageHandle.from_text(_text(sel["regex"]),
+                                              sel["alphabet"])
             contexts = tuple(Context(_text(c["u"]), _text(c["v"]))
                              for c in entry["contexts"])
-            certificates = {
-                cls.family_from_name(name): cert
-                for name, cert in entry.get("certificates", {}).items()
-            }
-            components.append(SelectionComponent(handle, contexts,
-                                                 certificates))
+            certs = entry.get("certificates", {})
+            if not isinstance(certs, dict):
+                raise TypeError("certificates must be an object")
+            certs = {cls.family_from_name(f): c for f, c in certs.items()}
+            components.append(SelectionComponent(handle, contexts, certs))
         if not isinstance(data["axioms"], list):
             raise TypeError("axioms must be a list")
         return ContextualGrammar(alphabet, tuple(components),

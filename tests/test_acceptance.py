@@ -16,7 +16,7 @@ from unittest import mock
 from subreg import automata as au, classify as cl, comets, grammar as gr, \
     hierarchy as hi, regex as rx
 from subreg.automata import Dfa
-from subreg.classify import DEFAULT_CONFIG, Family, Outcome
+from subreg.classify import Family, Outcome
 from subreg.language import LanguageHandle
 from test_golden import comet_sample, read_golden, regex_pool, \
     twocom_line

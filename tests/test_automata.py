@@ -21,6 +21,18 @@ def all_words(alphabet, n):
             yield "".join(t)
 
 
+def reachable_states(dfa):
+    """The states reachable from the start, by breadth-first search."""
+    seen = {dfa.start}
+    queue = [dfa.start]
+    for s in queue:  # grows while it is read
+        for t in dfa.transitions[s]:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return seen
+
+
 class TestCompileAndDeterminize:
     def test_accepts_matches_oracle(self):
         for text in ("(ab)*", "a*b|1", "(a|b)*a(a|b)", "0", "1", "a**"):
@@ -244,6 +256,15 @@ def test_determinize_is_the_frozenset_subset_construction(drawn):
     d = au.determinize(nfa)
     assert d.start == 0 and d.transitions == tuple(rows)
     assert d.finals == {i for i, subset in enumerate(order) if subset & finals}
+    # both constructions return accessible DFAs, minimize also from a DFA
+    # with an unreachable state, here an accepting sink
+    n = d.n_states
+    junk = au.Dfa(d.alphabet, d.transitions + ((n,) * len(d.alphabet),),
+                  d.start, d.finals | {n})
+    m = au.minimize(d)
+    assert au.minimize(junk) == m
+    for dfa in (d, m):
+        assert reachable_states(dfa) == set(range(dfa.n_states))
 
 
 def _from_lower_residuals(dfa):

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from test_automata import all_words
+from test_automata import all_words, reachable_states
 
 from subreg import automata as au, classify as cl, hierarchy as hi
 from subreg.automata import Dfa
@@ -612,7 +612,7 @@ def _check_ord_against_oracle(dfa: Dfa) -> Outcome:
         assert cl.verify_certificate(h, Family.ORD, v.certificate)
         if "automaton" in v.certificate:
             split = au.dfa_from_text(v.certificate["automaton"])
-            assert au.reachable(split) == set(range(split.n_states))
+            assert reachable_states(split) == set(range(split.n_states))
     elif v.outcome is Outcome.UNKNOWN:
         assert v.reason == (
             f"no ordered automaton with at most {extra} extra states")
@@ -1058,6 +1058,19 @@ class TestOrderedOracle:
                             (au.dfa_to_text(dfa), mult, d)
             counts.append((skipped, ordered))
         assert counts == [(2725, 807), (2602, 346)]
+
+    def test_pinned_splits_are_accessible(self):
+        # `_classify_ord` writes the split it finds as it is, so that split
+        # must have no copy that the start copy cannot reach.  The start
+        # copy is state 0: copy 0 of the minimal DFA's start, state 0.
+        lines = (GOLDEN / "ord_search.jsonl").read_text().splitlines()
+        splits = [json.loads(l)["split"] for l in lines]
+        splits = [s for s in splits if s is not None]
+        for order, rows, owner in splits:
+            assert owner[0] == 0
+            split = Dfa(("a", "b"), tuple(map(tuple, rows)), 0, frozenset())
+            assert reachable_states(split) == set(range(split.n_states))
+        assert len(splits) == 225
 
     def test_definite_language_without_a_small_ordered_automaton(self):
         h = lang("ba(a|b)b")

@@ -260,8 +260,12 @@ class TestGrammar:
         lambda d: d.update(axioms=[1]),
         # not the two axioms a and b
         lambda d: d.update(axioms="ab"),
+        lambda d: d["components"][0].update(certificates=[]),
+        # not the regex a*
+        lambda d: d["components"][0]["selection"].update(regex=["a", "*"]),
     ], ids=["unknown_family", "context_not_text", "axiom_not_text",
-            "axioms_not_a_list"])
+            "axioms_not_a_list", "certificates_not_an_object",
+            "regex_not_text"])
     def test_malformed_grammar_is_input_error(self, capsys, tmp_path, edit):
         data = gr.fixtures()["ex1"].to_json()
         edit(data)

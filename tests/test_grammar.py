@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from subreg import grammar as gr
-from subreg.classify import DEFAULT_CONFIG, Family, Outcome
+from subreg.classify import Family, Outcome
 from subreg.grammar import Context, ContextualGrammar, SelectionComponent
 from subreg.language import LanguageHandle
 
