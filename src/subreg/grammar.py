@@ -78,6 +78,8 @@ def _text(word) -> str:
 def grammar_from_json(data: dict) -> ContextualGrammar:
     try:
         alphabet = rx.make_alphabet(data["alphabet"])
+        if not isinstance(data["components"], list):
+            raise TypeError("components must be a list")
         components = []
         for entry in data["components"]:
             sel = entry["selection"]

@@ -1059,6 +1059,32 @@ class TestOrderedOracle:
             counts.append((skipped, ordered))
         assert counts == [(2725, 807), (2602, 346)]
 
+    def test_mirror_pass_refutes_exactly_the_unordered_splits(self):
+        # Reversing a monotone order and numbering each residual's copies
+        # backwards gives an order of the same split in which the first two
+        # single-copy states swap, so the pass that fixes them refutes a
+        # split exactly when the plain search does, skipped splits too.
+        corpus = [h.dfa for h in hi.random_corpus(300)
+                  if h.dfa.n_states <= cl.ORD_STATE_CAP]
+        exhaustive = set().union(*map(_minimal_dfas, (1, 2, 3)))
+        counts = []
+        for dfas in (corpus, exhaustive):
+            mirrored = refuted = 0
+            for dfa in dfas:
+                for mult in _overcounted_splits(dfa):
+                    split = cl._Split(dfa, list(mult))
+                    if split.mirror is None:
+                        continue
+                    mirrored += 1
+                    plain = split._search([10**7])
+                    first = split._search([10**7], split.mirror)
+                    assert (first is None) == (plain is None), \
+                        (au.dfa_to_text(dfa), mult)
+                    assert split.order([10**7]) == plain
+                    refuted += plain is None
+            counts.append((mirrored, refuted))
+        assert counts == [(4857, 3393), (6168, 5284)]
+
     def test_pinned_splits_are_accessible(self):
         # `_classify_ord` writes the split it finds as it is, so that split
         # must have no copy that the start copy cannot reach.  The start

@@ -263,9 +263,13 @@ class TestGrammar:
         lambda d: d["components"][0].update(certificates=[]),
         # not the regex a*
         lambda d: d["components"][0]["selection"].update(regex=["a", "*"]),
+        # neither may read as a grammar without components
+        lambda d: d.update(components={}),
+        lambda d: d.update(components=""),
     ], ids=["unknown_family", "context_not_text", "axiom_not_text",
             "axioms_not_a_list", "certificates_not_an_object",
-            "regex_not_text"])
+            "regex_not_text", "components_not_a_list_object",
+            "components_not_a_list_text"])
     def test_malformed_grammar_is_input_error(self, capsys, tmp_path, edit):
         data = gr.fixtures()["ex1"].to_json()
         edit(data)

@@ -13,8 +13,9 @@ split search itself, not only its answer: for each language of
 split automaton that `_split_order(dfa, 2, [8000])` finds with the budget
 it leaves, so a change that reorders the search fails here.  All are one
 JSON object per line.  Rewrite them with
-`PYTHONPATH=src python tests/test_golden.py` only for a change that is
-meant to alter an output.
+`PYTHONPATH=src python tests/test_golden.py [NAME...]` only for a change
+that is meant to alter an output; each NAME is a file name above, such as
+`ord_search.jsonl`, and with no name every file is rewritten.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import io
 import itertools
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -164,16 +166,31 @@ def test_ord_search_matches_golden():
     assert ord_search_lines() == read_golden("ord_search.jsonl")
 
 
-if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / "classify_all.jsonl").write_text(
-        "\n".join(classify_all_lines()) + "\n")
-    (GOLDEN / "nf2com.jsonl").write_text("\n".join(nf2com_lines()) + "\n")
-    (GOLDEN / "ord_search.jsonl").write_text(
-        "\n".join(ord_search_lines()) + "\n")
+def twocom_corpus_lines() -> list[str]:
+    return [twocom_line(h, cl.classify_all(h, hi.CORPUS_CONFIG))
+            for h in hi.random_corpus(1000)]
+
+
+def _grammar_golden_lines() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        (GOLDEN / "grammar.jsonl").write_text(
-            "\n".join(grammar_lines(tmp)) + "\n")
-    corpus = [twocom_line(h, cl.classify_all(h, hi.CORPUS_CONFIG))
-              for h in hi.random_corpus(1000)]
-    (GOLDEN / "twocom_corpus.jsonl").write_text("\n".join(corpus) + "\n")
+        return grammar_lines(tmp)
+
+
+RECORDERS = {
+    "classify_all.jsonl": classify_all_lines,
+    "nf2com.jsonl": nf2com_lines,
+    "ord_search.jsonl": ord_search_lines,
+    "grammar.jsonl": _grammar_golden_lines,
+    "twocom_corpus.jsonl": twocom_corpus_lines,
+}
+
+
+if __name__ == "__main__":
+    names = sys.argv[1:] or list(RECORDERS)
+    for name in names:
+        if name not in RECORDERS:
+            sys.exit(f"error: no golden file {name!r}; "
+                     f"choose from {', '.join(RECORDERS)}")
+    GOLDEN.mkdir(exist_ok=True)
+    for name in names:
+        (GOLDEN / name).write_text("\n".join(RECORDERS[name]()) + "\n")
