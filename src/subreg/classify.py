@@ -1047,29 +1047,38 @@ def classify(l: LanguageHandle, family: Family,
     return verdict
 
 
-# Proper inclusions of Figure 1 among the classifiable families; a Yes on
-# the left forces a Yes on the right.
-IMPLICATIONS = [
-    (Family.MON, Family.STAR),
-    (Family.MON, Family.SYDEF),
-    (Family.MON, Family.NIL),
-    (Family.MON, Family.SUF),
-    (Family.MON, Family.COMM),
-    (Family.FIN, Family.NIL),
-    (Family.NIL, Family.DEF),
-    (Family.COMB, Family.DEF),
-    (Family.COMB, Family.SYDEF),
-    (Family.DEF, Family.ORD),
-    (Family.ORD, Family.NC),
-    (Family.NC, Family.PS),
-    (Family.SUF, Family.PS),
-    (Family.SYDEF, Family.LCOM),
-    (Family.SYDEF, Family.RCOM),
-    (Family.SYDEF, Family.PS),
-    (Family.LCOM, Family.TWOCOM),
-    (Family.RCOM, Family.TWOCOM),
-    (Family.COMM, Family.CIRC),
-]
+# The proper inclusions X ⊂ Y of Figure 1, as (X, Y, provenance): either
+# "witness:<id>", a registry language in Y but not in X, or "literature".
+# `hierarchy.FIG1` draws them; `classify_all` checks those whose Y is a
+# family, since a Yes for X forces a Yes for Y.
+FIG1_EDGES = (
+    ("MON", "STAR", "witness:even_a"),
+    ("MON", "SYDEF", "witness:sydef_not_sf"),
+    ("MON", "NIL", "witness:lambda_a"),
+    ("MON", "SUF", "witness:lambda_a"),
+    ("MON", "COMM", "witness:lambda_a"),
+    ("FIN", "NIL", "witness:a_star"),
+    ("NIL", "DEF", "witness:ends_b"),
+    ("COMB", "DEF", "witness:lambda_a"),
+    ("COMB", "SYDEF", "witness:sydef_not_sf"),
+    ("DEF", "ORD", "witness:ab_star"),
+    ("ORD", "NC", "literature"),
+    ("NC", "PS", "literature"),
+    ("SUF", "PS", "witness:ends_b"),
+    ("SYDEF", "LCOM", "witness:even_a"),
+    ("SYDEF", "RCOM", "witness:even_a"),
+    ("SYDEF", "PS", "witness:lambda_a"),
+    ("LCOM", "2COM", "witness:a_star_b"),
+    ("RCOM", "2COM", "witness:b_a_star"),
+    ("2COM", "REG", "witness:lambda_a"),
+    ("STAR", "UF", "witness:single_a"),
+    ("UF", "REG", "literature"),
+    ("COMM", "CIRC", "witness:rotations_abc"),
+    ("CIRC", "REG", "witness:ab_star"),
+    ("PS", "REG", "witness:even_a"),
+)
+_FAMILY_EDGES = [(Family(x), Family(y)) for x, y, _ in FIG1_EDGES
+                 if y != "REG"]
 
 
 def classify_all(l: LanguageHandle,
@@ -1080,7 +1089,7 @@ def classify_all(l: LanguageHandle,
     for f in sorted(Family, key=lambda f: f in (Family.SYDEF, Family.TWOCOM)):
         classify(l, f, config, analysis)
     verdicts = {f: analysis.verdicts[f] for f in Family}
-    for x, y in IMPLICATIONS:
+    for x, y in _FAMILY_EDGES:
         if (verdicts[x].outcome is Outcome.YES
                 and verdicts[y].outcome is Outcome.NO):
             raise ConsistencyError(

@@ -244,27 +244,32 @@ def transform_to_lcom(g: ContextualGrammar) -> ContextualGrammar:
     return _with_middle_star(g, on_left=False)
 
 
-def _selection_is_lambda(comp: SelectionComponent) -> bool:
-    return rx.language_class(comp.selection.regex) is rx.LanguageClass.LAMBDA
+def _split_selections(g: ContextualGrammar, parts) -> ContextualGrammar:
+    """The grammar in which component i gives up a finite set Φ of its
+    selection's words, parts[i] = (Φ, kept): `kept`, whose selection is
+    the rest of i's, replaces it, and None drops it.  The language stays
+    the same, since a step x => uxv with x in Φ needs a derivable x: each
+    such uxv becomes an axiom."""
+    axioms = set(g.axioms)
+    for comp, (phi, _) in zip(g.components, parts):
+        for w in phi:
+            if member(g, w):
+                axioms.update(ctx.u + w + ctx.v for ctx in comp.contexts)
+    return ContextualGrammar(
+        g.alphabet, tuple(kept for _, kept in parts if kept is not None),
+        tuple(sorted(axioms, key=lambda w: (len(w), w))))
 
 
 def eliminate_empty_word_selection(g: ContextualGrammar) -> ContextualGrammar:
     """Remove components whose selection is {λ}; if λ is derivable, their
     context words uv become axioms, preserving the generated language."""
     validate(g)
-    lam = [c for c in g.components if _selection_is_lambda(c)]
-    rest = tuple(c for c in g.components if not _selection_is_lambda(c))
-    if not lam:
+    lam = rx.LanguageClass.LAMBDA
+    parts = [({""}, None) if rx.language_class(c.selection.regex) is lam
+             else ((), c) for c in g.components]
+    if all(kept is not None for _, kept in parts):
         return g
-    axioms = list(g.axioms)
-    if member(g, ""):
-        for comp in lam:
-            for ctx in comp.contexts:
-                w = ctx.u + ctx.v
-                if w not in axioms:
-                    axioms.append(w)
-    return ContextualGrammar(g.alphabet, rest,
-                             tuple(sorted(axioms, key=lambda w: (len(w), w))))
+    return _split_selections(g, parts)
 
 
 def definite_to_sydef(g: ContextualGrammar) -> ContextualGrammar:
@@ -280,31 +285,19 @@ def definite_to_sydef(g: ContextualGrammar) -> ContextualGrammar:
         if "A" not in v.certificate:
             raise GrammarError(
                 f"component {i}: definite split too large to materialize")
-
-    axioms = list(g.axioms)
-    components = []
+    parts = []
     for comp, verdict in zip(g.components, verdicts):
-        u_alpha = comp.selection.alphabet
         a_part, b_part = verdict.certificate["A"], verdict.certificate["B"]
-        for w in a_part:
-            if member(g, w):
-                for ctx in comp.contexts:
-                    grown = ctx.u + w + ctx.v
-                    if grown not in axioms:
-                        axioms.append(grown)
-        if not b_part:
-            continue  # empty U*B side: the component derives nothing more
-        sydef_regex = rx.cat(rx.star(rx.finite_language_regex(u_alpha)),
-                             rx.finite_language_regex(b_part))
-        handle = LanguageHandle(u_alpha, sydef_regex, check=False)
-        cert = {Family.SYDEF: {
-            "E": "1",
-            "H": rx.render(rx.finite_language_regex(b_part)),
-        }}
-        components.append(SelectionComponent(handle, comp.contexts, cert))
-    return ContextualGrammar(g.alphabet, tuple(components),
-                             tuple(sorted(set(axioms),
-                                          key=lambda w: (len(w), w))))
+        kept = None  # an empty U*B side derives nothing more
+        if b_part:
+            u_alpha = comp.selection.alphabet
+            h = rx.finite_language_regex(b_part)
+            sydef = rx.cat(rx.star(rx.finite_language_regex(u_alpha)), h)
+            kept = SelectionComponent(
+                LanguageHandle(u_alpha, sydef, check=False), comp.contexts,
+                {Family.SYDEF: {"E": "1", "H": rx.render(h)}})
+        parts.append((a_part, kept))
+    return _split_selections(g, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ generated by external contextual grammars with restricted selection.
 
 Two graphs are shipped: FIG1 relates the language families themselves,
 FIG2 relates the families EC(F) of languages generated by grammars whose
-selections lie in F.  Edges are proper inclusions.  A witness registry
-pins the propernesses that can be machine-checked; claims resting on
-external literature or on non-membership arguments that cannot be
-re-verified are carried as provenance-only entries.
+selections lie in F.  Edges are proper inclusions X ⊂ Y.  FIG1 draws its
+edges from `classify.FIG1_EDGES`, the one table of Fig. 1, which
+`classify_all` also checks its verdicts against.  A witness registry
+pins the propernesses that can be machine-checked: an edge's
+"witness:<id>" names the entry that claims Y yes and X no.  Claims
+resting on external literature or on non-membership arguments that
+cannot be re-verified are carried as provenance-only entries.
 """
 
 from __future__ import annotations
@@ -112,32 +115,7 @@ def _edges(pairs):
 FIG1 = HierarchyGraph(
     "fig1",
     nodes=[f.value for f in Family] + ["REG"],
-    edges=_edges([
-        ("MON", "STAR", "witness:even_a"),
-        ("MON", "SYDEF", "witness:sydef_not_sf"),
-        ("MON", "NIL", "witness:lambda_a"),
-        ("MON", "SUF", "witness:lambda_a"),
-        ("MON", "COMM", "witness:lambda_a"),
-        ("FIN", "NIL", "witness:a_star"),
-        ("NIL", "DEF", "witness:ends_b"),
-        ("COMB", "DEF", "witness:lambda_a"),
-        ("COMB", "SYDEF", "witness:sydef_not_sf"),
-        ("DEF", "ORD", "witness:ab_star"),
-        ("ORD", "NC", "literature"),
-        ("NC", "PS", "literature"),
-        ("SUF", "PS", "witness:ends_b"),
-        ("SYDEF", "LCOM", "witness:even_a"),
-        ("SYDEF", "RCOM", "witness:even_a"),
-        ("SYDEF", "PS", "witness:lambda_a"),
-        ("LCOM", "2COM", "witness:a_star_b"),
-        ("RCOM", "2COM", "witness:b_a_star"),
-        ("2COM", "REG", "witness:lambda_a"),
-        ("STAR", "UF", "witness:single_a"),
-        ("UF", "REG", "literature"),
-        ("COMM", "CIRC", "witness:rotations_abc"),
-        ("CIRC", "REG", "witness:ab_star"),
-        ("PS", "REG", "witness:even_a"),
-    ]),
+    edges=_edges(cls.FIG1_EDGES),
     equalities=[("NC", "SF")],
 )
 
@@ -238,7 +216,8 @@ def registry() -> list[WitnessEntry]:
         _lang_entry("lambda_a", "1|a", "a",
                     yes=["FIN", "NIL", "DEF", "SUF", "COMM", "CIRC", "PS",
                          "NC", "ORD", "REG"],
-                    no=["STAR", "2COM", "LCOM", "RCOM", "MON", "COMB"]),
+                    no=["STAR", "2COM", "LCOM", "RCOM", "MON", "COMB",
+                        "SYDEF"]),
         _lang_entry("a_star_b", "a*b", "ab",
                     yes=["RCOM", "2COM", "UF"],
                     no=["LCOM", "STAR", "SUF", "DEF", "NIL"]),

@@ -202,6 +202,20 @@ class TestGrammar:
         assert code == 3
         assert "definite" in err
 
+    def test_transform_def2sydef_split_too_large(self, capsys, tmp_path):
+        # the DEF certificate of a^17 over {a,b} gives its window, 18, but
+        # lists no split: 2^18 words of length 18 are too many
+        g = {"alphabet": ["a", "b"], "axioms": ["a" * 17], "components": [
+            {"selection": {"alphabet": ["a", "b"], "regex": "a" * 17},
+             "contexts": [{"u": "b", "v": "b"}]}]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(g))
+        code, out, err = run(capsys, "grammar", "transform", str(path),
+                             "def2sydef")
+        assert (code, out) == (3, "")
+        assert err == ("error: component 0: definite split too large to "
+                       "materialize\n")
+
     @pytest.mark.parametrize("n", ["-1", "-7"])
     def test_negative_length_is_input_error(self, capsys, ex1_path, n):
         code, out, err = run(capsys, "grammar", "enum", ex1_path, "-n", n)

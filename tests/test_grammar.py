@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from subreg import grammar as gr
+from subreg import classify as cl, grammar as gr
 from subreg.classify import Family, Outcome
 from subreg.grammar import Context, ContextualGrammar, SelectionComponent
 from subreg.language import LanguageHandle
@@ -121,7 +121,6 @@ class TestTransforms:
             assert gr.enumerate_language(out, 6) == gr.enumerate_language(g, 6)
             assert len(set(out.alphabet) - set(g.alphabet)) == 1
             for comp in out.components:
-                from subreg import classify as cl
                 v = cl.classify(comp.selection, Family.RCOM)
                 assert v.outcome is Outcome.YES, name
 
@@ -129,7 +128,6 @@ class TestTransforms:
         g = gr.fixtures()["ex1"]
         out = gr.transform_to_lcom(g)
         assert gr.enumerate_language(out, 6) == gr.enumerate_language(g, 6)
-        from subreg import classify as cl
         for comp in out.components:
             assert cl.classify(comp.selection,
                                Family.LCOM).outcome is Outcome.YES
@@ -150,6 +148,32 @@ class TestTransforms:
         g = gr.fixtures()["comb_o_pre_star"]
         assert gr.eliminate_empty_word_selection(g) is g
 
+    def test_eliminate_underivable_lambda_adds_no_axiom(self):
+        # every axiom is non-empty, so no derivation reaches λ
+        g = ContextualGrammar(
+            ("a", "b"),
+            (SelectionComponent(handle("1", "ab"), (Context("b", "b"),)),
+             SelectionComponent(handle("a*", "ab"), (Context("", "a"),))),
+            ("a",))
+        out = gr.eliminate_empty_word_selection(g)
+        assert out.components == g.components[1:]
+        assert out.axioms == ("a",)
+
+    def test_eliminate_lists_each_axiom_once(self):
+        g = simple_grammar(selection="1", contexts=(("a", "b"),),
+                           axioms=("b", "", "b"))
+        out = gr.eliminate_empty_word_selection(g)
+        assert out.axioms == ("", "b", "ab")
+
+    def test_definite_to_sydef_drops_a_component_without_b(self):
+        g = simple_grammar(selection="a", contexts=(("b", "b"),),
+                           axioms=("a",))
+        cert = cl.classify(g.components[0].selection, Family.DEF).certificate
+        assert cert == {"window": 2, "A": ["a"], "B": []}
+        out = gr.definite_to_sydef(g)
+        assert out.components == ()
+        assert out.axioms == ("a", "bab")
+
     def test_definite_to_sydef_worked_example(self):
         g = ContextualGrammar(
             ("a", "b", "d"),
@@ -160,7 +184,6 @@ class TestTransforms:
         assert "da" in out.axioms
         for n in range(7):
             assert gr.enumerate_language(out, n) == gr.enumerate_language(g, n)
-        from subreg import classify as cl
         for comp in out.components:
             cert = comp.certificates[Family.SYDEF]
             assert cl.verify_certificate(comp.selection, Family.SYDEF, cert)

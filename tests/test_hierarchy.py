@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
+import re
 
 import pytest
 
 from subreg import classify as cl, grammar as gr, hierarchy as hi, regex as rx
-from subreg.classify import DEFAULT_CONFIG, Family
+from subreg.classify import DEFAULT_CONFIG, Family, Outcome
 from subreg.hierarchy import FIG1, FIG2, Relation
 from subreg.language import LanguageHandle
 
@@ -26,11 +28,27 @@ class TestGraphQueries:
         assert FIG2.query("EC(STAR)", "EC(REG)") is Relation.PROPER_SUBSET
         assert FIG2.query("EC(SYDEF)", "EC(ORD)") is Relation.INCOMPARABLE
 
-    def test_implications_are_fig1s_family_edges(self):
-        # STAR -> UF is not enforced, since UF never answers no
-        edges = {(cl.Family(e.src), cl.Family(e.dst)) for e in FIG1.edges
-                 if "REG" not in (e.src, e.dst)}
-        assert set(cl.IMPLICATIONS) | {(cl.Family.STAR, cl.Family.UF)} == edges
+    def test_classify_all_checks_exactly_fig1s_family_edges(self,
+                                                            monkeypatch):
+        # X answers yes, Y no and every other family unknown
+        edges = {(e.src, e.dst) for e in FIG1.edges}
+        outcomes = {}
+        monkeypatch.setattr(cl, "_DECIDERS", {
+            f: lambda an, f=f: cl.Verdict(
+                f, outcomes.get(f, Outcome.UNKNOWN)) for f in Family})
+        handle = LanguageHandle.from_text("a", ("a",))
+        for x, y in itertools.permutations(Family, 2):
+            outcomes.clear()
+            outcomes.update({x: Outcome.YES, y: Outcome.NO})
+            if (x.value, y.value) in edges:
+                message = f"{x} = yes but {y} = no"
+            elif y is Family.UF:
+                message = "UF can never be decided negatively"
+            else:
+                cl.classify_all(handle)
+                continue
+            with pytest.raises(cl.ConsistencyError, match=re.escape(message)):
+                cl.classify_all(handle)
 
     def test_unknown_node_raises(self):
         with pytest.raises(hi.HierarchyError):
@@ -79,12 +97,15 @@ class TestWitnessRegistry:
             assert item["reason"], item
 
     def test_every_witness_edge_has_backing_claims(self):
-        ids = {e.id for e in hi.registry()}
+        # the witness of X ⊂ Y lies in Y and not in X
+        claims = {e.id: {(c.family, c.expected) for c in e.claims}
+                  for e in hi.registry()}
         for graph in (FIG1, FIG2):
             for edge in graph.edges:
                 if edge.provenance.startswith("witness:"):
-                    assert edge.provenance.split(":", 1)[1] in ids, edge
-
+                    wid = edge.provenance.split(":", 1)[1]
+                    need = {(edge.dst, "yes"), (edge.src, "no")}
+                    assert need <= claims.get(wid, set()), edge
 
     def test_language_claim_fails_with_the_cap(self):
         entry = hi._lang_entry("ab_star", "(ab)*", "ab", yes=["NC"],
