@@ -448,15 +448,9 @@ def _order_from(pairs: _PairParity, budget):
 
     value, succ = {}, [0] * n
     anchor_root, anchor_par = pairs.find(pairs.anchor)
-    if anchor_root in members:
-        if not settle(value, succ, anchor_root, anchor_par):
-            return None
-    elif roots:
-        # the reverse of a monotone order is monotone, so with nothing
-        # fixed one value of the first bit suffices
-        if not settle(value, succ, roots[0], 1):
-            return None
-        _tick(budget)
+    if anchor_root in members and not settle(value, succ, anchor_root,
+                                             anchor_par):
+        return None
     stack = [(value, succ)]
     while stack:
         value, succ = stack.pop()
@@ -488,12 +482,8 @@ def _split_order(dfa: Dfa, extra_cap: int, budget):
     is then unreachable, and without it the automaton is ordered on a
     split with one extra state less, which was searched to the end before.
 
-    `_Split.order` searches a split in two passes on the one budget.
-    Its orders come in mirror pairs that swap any two single-copy
-    states, so a first pass with two of them fixed in order refutes an
-    unordered split in fewer nodes; only a split that this pass orders
-    is searched again without the fix, for the order the plain search
-    meets first.
+    `_Split.order` searches each split once, with two single-copy states
+    fixed in order: its orders come in mirror pairs that swap them.
 
     The split found has no unreachable copy: the copies the start copy
     reaches are closed under moves, keep a copy of each residual and stay
@@ -531,16 +521,12 @@ class _Split:
     through the budget it leaves and the first order it finds.  A split
     that `_split_order` skips is never built, so it spends no budget.
 
-    The search sees every solution twice, as itself and as its mirror
-    image.  Reversing a monotone order keeps every letter monotone, and
-    numbering each residual's copies backwards then restores the copy
-    order, while a residual with one copy keeps its number.  So a split
-    with copies has an order exactly when it has one with p before q,
-    its first two single-copy states (`mirror`).  `order` searches with
-    that pair fixed first and stops if this finds nothing, which refutes
-    an unordered split in fewer nodes; otherwise it searches again
-    without the fix, so the order and split returned are the ones the
-    plain search meets first.  Both passes spend the one budget.
+    Reversing a monotone order keeps every letter monotone, and numbering
+    each residual's copies backwards then restores the copy order, while
+    a residual with one copy keeps its number.  So a split, the minimal
+    DFA included, has an order exactly when it has one with p before q,
+    its first two single-copy states (`mirror`), and `order` searches
+    with that pair fixed.
     """
 
     def __init__(self, dfa: Dfa, mult):
@@ -549,30 +535,23 @@ class _Split:
         self.first = list(itertools.accumulate([0] + mult[:-1]))
         self.owner = [c for c, k in enumerate(mult) for _ in range(k)]
         single = [self.first[c] for c, k in enumerate(mult) if k == 1]
-        copies = len(self.owner) > len(mult)
-        self.mirror = single[:2] if copies and len(single) >= 2 else None
+        self.mirror = single[:2] if len(single) >= 2 else None
 
     def _place(self, s, a, t) -> bool:
         self.rows[s][a] = t
         return self.pairs.tie_moves(self.rows, s, a)
 
     def order(self, budget):
-        """A monotone order over all the copies, or None."""
-        if self.mirror and self._search(budget, self.mirror) is None:
-            return None
-        return self._search(budget)
-
-    def _search(self, budget, before=None):
-        """The first monotone order the search meets, with state before[0]
-        preceding before[1] when that pair is given, or None."""
+        """The first monotone order over all the copies that the search
+        meets, with the `mirror` pair in order when there is one, or None."""
         self.rows = [[-1] * len(self.dfa.alphabet) for _ in self.owner]
         self.pairs = _PairParity(len(self.owner))
         for c, k in enumerate(self.mult):
             for i, j in itertools.combinations(range(self.first[c],
                                                      self.first[c] + k), 2):
                 self.pairs.fix(i, j)
-        if before:
-            self.pairs.fix(*before)
+        if self.mirror:
+            self.pairs.fix(*self.mirror)
         branch = []
         for s, c in enumerate(self.owner):
             for a, d in enumerate(self.dfa.transitions[c]):
@@ -1063,7 +1042,7 @@ FIG1_EDGES = (
     ("COMB", "SYDEF", "witness:sydef_not_sf"),
     ("DEF", "ORD", "witness:ab_star"),
     ("ORD", "NC", "literature"),
-    ("NC", "PS", "literature"),
+    ("NC", "PS", "witness:even_a_b"),
     ("SUF", "PS", "witness:ends_b"),
     ("SYDEF", "LCOM", "witness:even_a"),
     ("SYDEF", "RCOM", "witness:even_a"),

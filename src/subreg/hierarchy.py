@@ -248,6 +248,7 @@ def registry() -> list[WitnessEntry]:
         _lang_entry("rotations_abc", "abc|bca|cab", "abc",
                     yes=["CIRC", "FIN", "NIL", "DEF"],
                     no=["COMM", "STAR", "2COM"]),
+        _lang_entry("even_a_b", "(aa)*b", "ab", yes=["PS"], no=["NC", "SF"]),
         _grammar_entry("ex1", "ex1", ["ORD"]),
         _grammar_entry("nil_o_star", "nil_o_star", ["NIL"], ["STAR"]),
         _grammar_entry("comb_o_pre_star", "comb_o_pre_star",

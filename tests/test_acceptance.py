@@ -273,4 +273,4 @@ def test_criterion_9_hierarchy_verification():
     assert edges["n_violations"] == 0, edges["violations"]
     assert lines == read_golden("twocom_corpus.jsonl")
     assert digest.hexdigest() == (
-        "1d7e436a6d2b5c5164b700b5191a90c2534f1c045334fc9394e331789e48c671")
+        "f5f73728d3b13f700396b0bb9594c963bb1785fa112c0d82e6f4ca0fe0148b23")

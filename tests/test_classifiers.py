@@ -1059,14 +1059,20 @@ class TestOrderedOracle:
             counts.append((skipped, ordered))
         assert counts == [(2725, 807), (2602, 346)]
 
-    def test_mirror_pass_refutes_exactly_the_unordered_splits(self):
+    def test_mirror_pair_keeps_every_ordered_split(self):
         # Reversing a monotone order and numbering each residual's copies
         # backwards gives an order of the same split in which the first two
-        # single-copy states swap, so the pass that fixes them refutes a
-        # split exactly when the plain search does, skipped splits too.
+        # single-copy states swap, so fixing them loses no split that has an
+        # order, copy-free and skipped splits too.
         corpus = [h.dfa for h in hi.random_corpus(300)
                   if h.dfa.n_states <= cl.ORD_STATE_CAP]
         exhaustive = set().union(*map(_minimal_dfas, (1, 2, 3)))
+
+        def monotone(order, rows):
+            pos = {s: i for i, s in enumerate(order)}
+            return all(pos[x] <= pos[y] for p, q in zip(order, order[1:])
+                       for x, y in zip(rows[p], rows[q]))
+
         counts = []
         for dfas in (corpus, exhaustive):
             mirrored = refuted = 0
@@ -1076,14 +1082,16 @@ class TestOrderedOracle:
                     if split.mirror is None:
                         continue
                     mirrored += 1
-                    plain = split._search([10**7])
-                    first = split._search([10**7], split.mirror)
-                    assert (first is None) == (plain is None), \
+                    fixed = split.order([10**7])
+                    assert fixed is None or monotone(fixed, split.rows)
+                    split.mirror = None
+                    plain = split.order([10**7])
+                    assert plain is None or monotone(plain, split.rows)
+                    assert (fixed is None) == (plain is None), \
                         (au.dfa_to_text(dfa), mult)
-                    assert split.order([10**7]) == plain
-                    refuted += plain is None
+                    refuted += fixed is None
             counts.append((mirrored, refuted))
-        assert counts == [(4857, 3393), (6168, 5284)]
+        assert counts == [(5104, 3528), (7220, 6188)]
 
     def test_pinned_splits_are_accessible(self):
         # `_classify_ord` writes the split it finds as it is, so that split
