@@ -514,9 +514,11 @@ class _Split:
     letter's choice of copy nondecreasing along them, so copies are fixed
     to precede by index and their choices only grow, which loses no
     solution.  Moves into a residual with one copy are forced; the search
-    branches on the others and ties each state pair as soon as both of
-    its moves are fixed, pruning on a contradiction.  Placing a move makes
-    all of its ties in one `_PairParity.tie_moves` loop, in state order;
+    branches on the others, most-constrained letter first (most forced
+    moves placed, then moves out of single-copy residuals, then state
+    order), and ties each state pair as soon as both of its moves are
+    fixed, pruning on a contradiction.  Copies keep index order, since
+    `_descend` bounds a copy's move by the one before.
     `tests/golden/ord_search.jsonl` pins the search tree this gives
     through the budget it leaves and the first order it finds.  A split
     that `_split_order` skips is never built, so it spends no budget.
@@ -559,6 +561,9 @@ class _Split:
                     branch.append((s, a))
                 elif not self._place(s, a, self.first[d]):
                     return None
+        placed = [sum(t != -1 for t in col) for col in zip(*self.rows)]
+        branch.sort(key=lambda e: (-placed[e[1]],
+                                   self.mult[self.owner[e[0]]] > 1, e))
         return self._descend(branch, budget)
 
     def _descend(self, branch, budget):

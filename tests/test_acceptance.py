@@ -273,4 +273,4 @@ def test_criterion_9_hierarchy_verification():
     assert edges["n_violations"] == 0, edges["violations"]
     assert lines == read_golden("twocom_corpus.jsonl")
     assert digest.hexdigest() == (
-        "f5f73728d3b13f700396b0bb9594c963bb1785fa112c0d82e6f4ca0fe0148b23")
+        "e46f0487ebab30a214d769ef7d164bcbd898be4853f8c59307f08459c7ddd54e")

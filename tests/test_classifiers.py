@@ -1093,6 +1093,47 @@ class TestOrderedOracle:
             counts.append((mirrored, refuted))
         assert counts == [(5104, 3528), (7220, 6188)]
 
+    def test_branch_order_keeps_copies_in_index_order(self):
+        # `_descend` reads the move of copy s-1 as the lower bound of copy
+        # s's move on the same letter, so the branch must place (s-1, a)
+        # before (s, a); a key that breaks this searches a wrong range
+        # without an error.  The branch also takes the letters with the
+        # most forced moves placed first.
+        corpus = [h.dfa for h in hi.random_corpus(300)
+                  if h.dfa.n_states <= cl.ORD_STATE_CAP]
+        exhaustive = sorted(set().union(*map(_minimal_dfas, (1, 2, 3))),
+                            key=au.dfa_to_text)
+
+        class Recording(cl._Split):
+            branch = None
+
+            def _descend(self, branch, budget):
+                # the forced moves are placed, the branched ones still -1
+                self.placed = [sum(t != -1 for t in col)
+                               for col in zip(*self.rows)]
+                self.branch = branch
+
+        counts = []
+        for dfas in (corpus, exhaustive):
+            branches = copies = 0
+            for dfa in dfas:
+                for mult in _overcounted_splits(dfa):
+                    split = Recording(dfa, list(mult))
+                    split.order([10**7])
+                    if split.branch is None:  # a forced move refutes it
+                        continue
+                    branches += 1
+                    at = {move: i for i, move in enumerate(split.branch)}
+                    for (s, a), i in at.items():
+                        if s > split.first[split.owner[s]]:
+                            assert at[s - 1, a] < i, \
+                                (au.dfa_to_text(dfa), mult)
+                            copies += 1
+                    along = [split.placed[a] for _, a in split.branch]
+                    assert along == sorted(along, reverse=True)
+            counts.append((branches, copies))
+        assert counts == [(3523, 5769), (7854, 11500)]
+
     def test_pinned_splits_are_accessible(self):
         # `_classify_ord` writes the split it finds as it is, so that split
         # must have no copy that the start copy cannot reach.  The start
